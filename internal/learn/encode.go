@@ -73,6 +73,10 @@ type encoding struct {
 	// simplifyAt is the clause count at which the next inprocessing
 	// pass fires; zero until the first maybeSimplify arms it.
 	simplifyAt int
+
+	// rel is the canonical n·|Σ|·n transition relation the latest
+	// canonicalize computed (see tVar for the flat index).
+	rel []bool
 }
 
 // maybeSimplify runs the solver's deterministic level-0 inprocessing
@@ -333,62 +337,73 @@ func (e *encoding) preferTransitions(polarity bool) {
 	}
 }
 
-// canonicalize pins the solver's model to the canonical one: the
-// lexicographically least transition relation (in state, symbol,
-// successor order) consistent with the current constraints. For each
-// transition variable that is true in the current model it asks, with
-// one incremental assumption solve, whether the formula stays
-// satisfiable with the variable false, fixing the answer as a further
-// assumption either way. The resulting projection is a function of the
-// constraint set alone — independent of learned clauses, activity
-// scores, saved phases, chunking, or which portfolio member raced
-// ahead — which is what makes incremental, scratch and portfolio
-// construction extract identical automata. The solver must be in a Sat
-// state; it is left in a Sat state whose model realises the canonical
-// relation. Cost: one cheap solve per true transition variable
-// (roughly, per transition of the model).
-func (e *encoding) canonicalize() {
+// canonicalize computes the canonical model: the lexicographically
+// least transition relation (in state, symbol, successor order)
+// consistent with the current constraints, left in e.rel as a flat
+// n·|Σ|·n relation for extract. It walks the transition variables in
+// that order, fixing each as a further assumption. e.rel starts as the
+// current model's relation and is refreshed only after a satisfiable
+// probe, so it is always a model of every fix so far: a variable false
+// there is fixed false with no solve, and a true one is probed with
+// one incremental assumption solve — fixed false when that is
+// satisfiable, true otherwise (the snapshot, which has it true, then
+// still satisfies every fix). Consecutive probes share the growing
+// assumption prefix, which the solver keeps on its trail between calls.
+// The result is a function of the constraint set alone — independent
+// of learned clauses, activity scores, saved phases, chunking, or which
+// portfolio member raced ahead — which is what makes incremental,
+// scratch and portfolio construction extract identical automata. The
+// solver must be in a Sat state; afterwards its model is unspecified.
+// Cost: one solve per variable true in the snapshot when it is reached
+// (roughly, per transition of the model) and none for the rest. It
+// returns the number of probe solves.
+func (e *encoding) canonicalize() (solves int) {
 	e.solver.MaxConflicts = 0
-	fixed := append([]sat.Lit(nil), e.assumptions()...)
-	for s := 0; s < e.n; s++ {
-		for p := 0; p < e.numSyms; p++ {
-			for s2 := 0; s2 < e.n; s2++ {
-				v := e.tVars[s][p][s2]
-				if !e.solver.Value(v) {
-					// The current model already satisfies every fixed
-					// literal, so v can stay false: no solve needed.
-					fixed = append(fixed, sat.Neg(v))
-					continue
-				}
-				if e.solver.SolveAssuming(append(fixed, sat.Neg(v))...) == sat.Sat {
-					fixed = append(fixed, sat.Neg(v))
-					continue
-				}
+	k := e.n * e.numSyms * e.n
+	if cap(e.rel) < k {
+		e.rel = make([]bool, k)
+	}
+	e.rel = e.rel[:k]
+	e.snapshot(0)
+	asm := e.assumptions()
+	fixed := append(make([]sat.Lit, 0, len(asm)+k), asm...)
+	for i := range e.rel {
+		v := e.tVar(i)
+		if e.rel[i] {
+			solves++
+			if e.solver.SolveAssuming(append(fixed, sat.Neg(v))...) != sat.Sat {
 				fixed = append(fixed, sat.Pos(v))
-				// Restore a model consistent with the fixes (the
-				// pre-probe model is one, so this must succeed).
-				if e.solver.SolveAssuming(fixed...) != sat.Sat {
-					panic("learn: canonicalize lost satisfiability")
-				}
+				continue
 			}
+			e.snapshot(i)
 		}
+		fixed = append(fixed, sat.Neg(v))
+	}
+	return solves
+}
+
+// tVar returns the transition variable at flat index i of the n-state
+// relation: i = (s·|Σ| + p)·n + s'.
+func (e *encoding) tVar(i int) int {
+	return e.tVars[i/(e.numSyms*e.n)][i/e.n%e.numSyms][i%e.n]
+}
+
+// snapshot copies the solver's model into e.rel from flat index from
+// on; earlier entries are already fixed, so the model agrees with them.
+func (e *encoding) snapshot(from int) {
+	for i := from; i < len(e.rel); i++ {
+		e.rel[i] = e.solver.Value(e.tVar(i))
 	}
 }
 
-// extract decodes the model into an NFA over the symbol names: the
-// automaton's transition relation is exactly the set of true
-// transition variables. Callers canonicalize first, so the relation —
-// and with it the extracted automaton — is the canonical one. The
-// solver must be in a Sat state.
+// extract decodes the canonical relation e.rel into an NFA over the
+// symbol names: the automaton's transition relation is exactly the set
+// of true transition variables. Callers canonicalize first.
 func (e *encoding) extract(symbols []string) *automaton.NFA {
 	m := automaton.MustNew(e.n, 0)
-	for s := 0; s < e.n; s++ {
-		for p := 0; p < e.numSyms; p++ {
-			for s2 := 0; s2 < e.n; s2++ {
-				if e.solver.Value(e.tVars[s][p][s2]) {
-					m.MustAddTransition(automaton.State(s), symbols[p], automaton.State(s2))
-				}
-			}
+	for i, on := range e.rel {
+		if on {
+			m.MustAddTransition(automaton.State(i/(e.numSyms*e.n)), symbols[i/e.n%e.numSyms], automaton.State(i%e.n))
 		}
 	}
 	return m

@@ -370,9 +370,16 @@ func (l *Live) accumulate(st Stats) {
 // extend continues the retained search at level n with the pending
 // base segments, re-running the compliance and acceptance refinement
 // loop of GenerateModelSeqs against the grown sequence. It returns
-// errNeedGrow on UNSAT (caller re-minimizes).
+// errNeedGrow on UNSAT (caller re-minimizes). Its wall and CPU time
+// count towards Stats on every return path, failed extensions
+// included.
 func (l *Live) extend() error {
 	start := time.Now()
+	cpuStart := cpuTime()
+	defer func() {
+		l.stats.Duration += time.Since(start)
+		l.stats.CPU += cpuTime() - cpuStart
+	}()
 	deadline := time.Time{}
 	if l.opts.Timeout > 0 {
 		deadline = start.Add(l.opts.Timeout)
@@ -394,6 +401,8 @@ func (l *Live) extend() error {
 	cGramsBlocked := tel.Count("learn_grams_blocked_total")
 	cSegmentsAdded := tel.Count("learn_segments_added_total")
 	hSolveNS := tel.Hist("solver_call_ns", "ns")
+	hCanonNS := tel.Hist("learn_canonical_ns", "ns")
+	cCanonSolves := tel.Count("learn_canonical_solves_total")
 
 	rs := l.rle()
 	symbols := l.seq.syms
@@ -416,6 +425,7 @@ func (l *Live) extend() error {
 		t0 := time.Now()
 		status, _ := l.pf.solve(deadline)
 		hSolveNS.Since(t0)
+		tel.Prof().Observe("solve", time.Since(t0))
 		l.pf.addStats(&l.stats)
 		if status == sat.Unknown {
 			return ErrBudgetExceeded
@@ -423,9 +433,10 @@ func (l *Live) extend() error {
 		if status == sat.Unsat {
 			return errNeedGrow
 		}
-		enc := l.pf.canonical()
-		enc.canonicalize()
-		m := enc.extract(symbols)
+		t0 = time.Now()
+		m, probes := l.pf.canonicalModel(symbols)
+		hCanonNS.Since(t0)
+		cCanonSolves.Add(int64(probes))
 
 		// Compliance refinement against the grown gram set.
 		invalid := invalidSequences(m, l.validGrams, l.seq.symID, l.opts.ComplianceLen)
@@ -451,7 +462,6 @@ func (l *Live) extend() error {
 			l.freshGrams = false
 			l.stats.Segments = len(l.workSegs)
 			l.stats.FinalStates = l.n
-			l.stats.Duration += time.Since(start)
 			return nil
 		}
 		acceptRefinements++

@@ -3,7 +3,11 @@ package learn
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/pipeline"
 )
 
 // TestWinScanMatchesWindows: feeding a growing sequence through the
@@ -276,5 +280,77 @@ func TestLiveRejectsUnsupportedOptions(t *testing.T) {
 	lv.Append("a", 1)
 	if _, err := lv.Revise(false); err == nil {
 		t.Fatal("revision below the segmentation window accepted")
+	}
+}
+
+// TestLiveExtendAccountsStats: an extension's wall and CPU time count
+// towards Stats on every return path — an extend-only revision and an
+// extension that goes UNSAT at the retained level (errNeedGrow) alike —
+// and the live loop records the same solve and canonical-extraction
+// telemetry as the batch loop. A fake CPU clock advancing 1 ms per
+// read makes the CPU accounting exact: one extension reads it twice.
+func TestLiveExtendAccountsStats(t *testing.T) {
+	defer func(prev func() time.Duration) { cpuTime = prev }(cpuTime)
+	var clock time.Duration
+	cpuTime = func() time.Duration {
+		clock += time.Millisecond
+		return clock
+	}
+	learnThen := func(word, suffix string, tel *pipeline.Telemetry) *Live {
+		t.Helper()
+		lv, err := NewLive(Options{Segmented: true, Workers: 1, Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sym := range strings.Split(word, "") {
+			lv.Append(sym, 1)
+		}
+		if _, err := lv.Revise(false); err != nil {
+			t.Fatal(err)
+		}
+		for _, sym := range strings.Split(suffix, "") {
+			lv.Append(sym, 1)
+		}
+		return lv
+	}
+
+	reg := pipeline.NewRegistry()
+	lv := learnThen("acbaacbaacba", "cb", &pipeline.Telemetry{Registry: reg})
+	before := lv.Stats()
+	solves := reg.Histogram("solver_call_ns", "ns").Summary().Count
+	canon := reg.Histogram("learn_canonical_ns", "ns").Summary().Count
+	remin, err := lv.Revise(false)
+	if err != nil || remin {
+		t.Fatalf("extend-only revision: reminimized=%v err=%v", remin, err)
+	}
+	after := lv.Stats()
+	if after.SolverCalls == before.SolverCalls {
+		t.Fatal("extend-only revision made no solver calls")
+	}
+	if d := after.CPU - before.CPU; d != time.Millisecond {
+		t.Errorf("extend-only revision added %v CPU, want one extension's 1ms", d)
+	}
+	if after.Duration <= before.Duration {
+		t.Errorf("extend-only revision added no wall time (%v → %v)", before.Duration, after.Duration)
+	}
+	calls := after.SolverCalls - before.SolverCalls
+	if got := reg.Histogram("solver_call_ns", "ns").Summary().Count - solves; got != int64(calls) {
+		t.Errorf("extension observed %d solver_call_ns samples for %d solver calls", got, calls)
+	}
+	if got := reg.Histogram("learn_canonical_ns", "ns").Summary().Count - canon; got < 1 || got > int64(calls) {
+		t.Errorf("extension observed %d learn_canonical_ns samples for %d solver calls", got, calls)
+	}
+
+	lv = learnThen("cbcacbcacbca", "bc", nil)
+	before = lv.Stats()
+	if err := lv.extend(); err != errNeedGrow {
+		t.Fatalf("extend = %v, want errNeedGrow", err)
+	}
+	after = lv.Stats()
+	if d := after.CPU - before.CPU; d != time.Millisecond {
+		t.Errorf("failed extension added %v CPU, want 1ms", d)
+	}
+	if after.Duration <= before.Duration {
+		t.Errorf("failed extension added no wall time (%v → %v)", before.Duration, after.Duration)
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/automaton"
 	"repro/internal/sat"
 )
 
@@ -131,9 +132,14 @@ func newPortfolio(n, k, workers, numSyms, maxN int, segments [][]int, anchored [
 	return pf
 }
 
-// canonical returns member 0's encoding, the only one models are
-// extracted from.
-func (pf *portfolio) canonical() *encoding { return pf.members[0].enc }
+// canonicalModel canonicalizes member 0's Sat model — member 0 is the
+// only member models are extracted from — and decodes it over the
+// symbol names. It also returns the number of probe solves spent.
+func (pf *portfolio) canonicalModel(symbols []string) (*automaton.NFA, int) {
+	enc := pf.members[0].enc
+	solves := enc.canonicalize()
+	return enc.extract(symbols), solves
+}
 
 // solve runs one round: every member solves the current constraint
 // set, member 0 on the caller's goroutine and the variants on a pool

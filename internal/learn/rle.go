@@ -94,6 +94,10 @@ func (s *Seq) Len() int { return s.total }
 // Runs returns the number of stored runs.
 func (s *Seq) Runs() int { return len(s.ids) }
 
+// cpuTime reads the process CPU clock for Stats.CPU; a variable so
+// tests can substitute a deterministic clock.
+var cpuTime = pipeline.CPUTime
+
 // rleSeq is a Seq with its symbols re-interned into the global (cross-
 // sequence) id space the learner uses.
 type rleSeq struct {
@@ -224,7 +228,7 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 		}
 	}
 	start := time.Now()
-	cpuStart := pipeline.CPUTime()
+	cpuStart := cpuTime()
 	deadline := time.Time{}
 	if opts.Timeout > 0 {
 		deadline = start.Add(opts.Timeout)
@@ -406,6 +410,8 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 	cGramsBlocked := tel.Count("learn_grams_blocked_total")
 	cSegmentsAdded := tel.Count("learn_segments_added_total")
 	hSolveNS := tel.Hist("solver_call_ns", "ns")
+	hCanonNS := tel.Hist("learn_canonical_ns", "ns")
+	cCanonSolves := tel.Count("learn_canonical_solves_total")
 
 	workers := opts.Workers
 	if workers <= 0 {
@@ -418,7 +424,7 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 	}
 	finish := func() {
 		stats.Duration = time.Since(start)
-		stats.CPU = pipeline.CPUTime() - cpuStart
+		stats.CPU = cpuTime() - cpuStart
 	}
 
 	var warm *encoding
@@ -505,9 +511,10 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 				bumped = true
 				continue
 			}
-			enc := pf.canonical()
-			enc.canonicalize()
-			m := enc.extract(symbols)
+			t0 = time.Now()
+			m, probes := pf.canonicalModel(symbols)
+			hCanonNS.Since(t0)
+			cCanonSolves.Add(int64(probes))
 
 			// Compliance check (Algorithm 1 lines 38–45).
 			invalid := invalidSequences(m, validGrams, symID, l)
@@ -610,6 +617,6 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 		}
 	}
 	stats.Duration = time.Since(start)
-	stats.CPU = pipeline.CPUTime() - cpuStart
+	stats.CPU = cpuTime() - cpuStart
 	return &Result{Stats: stats}, fmt.Errorf("%w (max %d states, %d segments)", ErrNoAutomaton, opts.MaxStates, len(segments))
 }

@@ -26,11 +26,16 @@ func exactQuantile(vs []int64, q float64) int64 {
 func TestHistogramQuantileAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	dists := map[string]func(i int) int64{
-		"constant":  func(int) int64 { return 4096 },
-		"uniform":   func(int) int64 { return 1 + rng.Int63n(100000) },
-		"linear":    func(i int) int64 { return int64(i + 1) },
-		"powerlaw":  func(int) int64 { return int64(1) << uint(rng.Intn(20)) },
-		"bimodal":   func(i int) int64 { if i%10 == 0 { return 1 << 20 }; return 100 },
+		"constant": func(int) int64 { return 4096 },
+		"uniform":  func(int) int64 { return 1 + rng.Int63n(100000) },
+		"linear":   func(i int) int64 { return int64(i + 1) },
+		"powerlaw": func(int) int64 { return int64(1) << uint(rng.Intn(20)) },
+		"bimodal": func(i int) int64 {
+			if i%10 == 0 {
+				return 1 << 20
+			}
+			return 100
+		},
 		"smallvals": func(i int) int64 { return int64(i%3 + 1) },
 	}
 	for name, gen := range dists {

@@ -494,8 +494,8 @@ func TestRegressOnRealBenchTrajectory(t *testing.T) {
 		}
 	}
 	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	putAll(base, nil)                     // archived baseline
-	putAll(base.Add(time.Hour), nil)      // identical fresh run
+	putAll(base, nil)                // archived baseline
+	putAll(base.Add(time.Hour), nil) // identical fresh run
 	entries, corrupt, err := s.List()
 	if err != nil || corrupt != 0 {
 		t.Fatalf("List: %v, %d corrupt", err, corrupt)

@@ -116,11 +116,51 @@ func decodeCNF(data []byte) (nVars int, clauses [][]Lit, assumptions []Lit) {
 	return nVars, clauses, assumptions
 }
 
+// checkAssuming checks one SolveAssuming result against the brute-
+// force oracle — the status; on Sat, the model against the clauses and
+// the assumptions; on Unsat, that the core is a subset of the
+// assumptions inconsistent with the clauses — and returns whether the
+// call was satisfiable.
+func checkAssuming(t *testing.T, s *Solver, nVars int, clauses [][]Lit, assumptions []Lit, got Status) bool {
+	t.Helper()
+	if want := bruteForceAssuming(nVars, clauses, assumptions); (got == Sat) != want {
+		t.Fatalf("SolveAssuming=%v, brute force sat=%v (cnf %v assume %v)",
+			got, want, clauses, assumptions)
+	}
+	if got == Sat {
+		checkModel(t, s, clauses)
+		for _, a := range assumptions {
+			if s.Value(a.Var()) == a.Sign() {
+				t.Fatalf("model violates assumption %v (assume %v)", a, assumptions)
+			}
+		}
+		return true
+	}
+	core := s.UnsatCore()
+	if core == nil {
+		t.Fatal("nil core after UNSAT")
+	}
+	inA := map[Lit]bool{}
+	for _, a := range assumptions {
+		inA[a] = true
+	}
+	for _, l := range core {
+		if !inA[l] {
+			t.Fatalf("core literal %v not among assumptions %v", l, assumptions)
+		}
+	}
+	if bruteForceAssuming(nVars, clauses, core) {
+		t.Fatalf("core %v is not inconsistent (cnf %v)", core, clauses)
+	}
+	return false
+}
+
 // FuzzSolver cross-checks the CDCL solver against the brute-force
 // oracle on random ≤12-variable instances: plain solving, model
-// validity, solving under assumptions with core soundness, solving
-// with non-default restart/decay knobs, and an incremental re-solve
-// after blocking the first model.
+// validity, solving under assumptions with core soundness, a chain of
+// assumption solves that share, extend and flip a prefix (the kept
+// trail), solving with non-default restart/decay knobs, and an
+// incremental re-solve after blocking the first model.
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{3, 0, 0x02, 0x05, 0x80, 0x03, 0x04, 0x80})
 	f.Add([]byte{7, 2, 0x04, 0x09, 0x10, 0x80, 0x11, 0x80})
@@ -144,37 +184,59 @@ func FuzzSolver(f *testing.F) {
 		// with the assumptions as units, failed assumption sets yield
 		// a sound core, and the solver survives for a plain re-solve.
 		s2 := mkSolver(nVars, clauses)
-		wantA := bruteForceAssuming(nVars, clauses, assumptions)
-		switch got := s2.SolveAssuming(assumptions...); {
-		case (got == Sat) != wantA:
-			t.Fatalf("SolveAssuming=%v, brute force sat=%v (cnf %v assume %v)",
-				got, wantA, clauses, assumptions)
-		case got == Sat:
-			checkModel(t, s2, clauses)
-			for _, a := range assumptions {
-				if s2.Value(a.Var()) == a.Sign() {
-					t.Fatalf("model violates assumption %v", a)
-				}
-			}
-		default:
-			core := s2.UnsatCore()
-			if core == nil {
-				t.Fatal("nil core after UNSAT")
-			}
-			inA := map[Lit]bool{}
-			for _, a := range assumptions {
-				inA[a] = true
-			}
-			for _, l := range core {
-				if !inA[l] {
-					t.Fatalf("core literal %v not among assumptions %v", l, assumptions)
-				}
-			}
-			if bruteForceAssuming(nVars, clauses, core) {
-				t.Fatalf("core %v is not inconsistent (cnf %v)", core, clauses)
-			}
+		wantA := checkAssuming(t, s2, nVars, clauses, assumptions, s2.SolveAssuming(assumptions...))
+		if !wantA {
 			if got := s2.Solve(); (got == Sat) != want {
 				t.Fatalf("post-core Solve=%v, brute force sat=%v", got, want)
+			}
+		}
+
+		// Kept trail: a chain of calls whose assumption lists share,
+		// extend and then flip a prefix — the canonicalization pattern
+		// — must answer every call as a fresh solver would, although
+		// each call resumes from the levels the previous one kept.
+		s4 := mkSolver(nVars, clauses)
+		ext := Pos(nVars - 1)
+		if len(data) > 0 && data[len(data)-1]&1 == 1 {
+			ext = ext.Not()
+		}
+		with := func(base []Lit, extra ...Lit) []Lit {
+			return append(append([]Lit(nil), base...), extra...)
+		}
+		chain := [][]Lit{assumptions, assumptions, with(assumptions, ext), with(assumptions, ext.Not())}
+		if len(assumptions) > 0 {
+			flipped := with(assumptions)
+			flipped[0] = flipped[0].Not()
+			chain = append(chain, with(flipped, ext), flipped, assumptions)
+		}
+		for _, a := range chain {
+			checkAssuming(t, s4, nVars, clauses, a, s4.SolveAssuming(a...))
+		}
+		// Then the canonicalization walk itself: probe each variable
+		// false under the fixes so far and fix the answer. The fixes
+		// must spell out the lex-least model brute force finds.
+		if wantA {
+			fixed := with(assumptions)
+			for v := 0; v < nVars; v++ {
+				probe := with(fixed, Neg(v))
+				got := s4.SolveAssuming(probe...)
+				checkAssuming(t, s4, nVars, clauses, probe, got)
+				if got == Sat {
+					fixed = probe
+				} else {
+					fixed = with(fixed, Pos(v))
+				}
+			}
+			all := append([][]Lit(nil), clauses...)
+			for _, a := range assumptions {
+				all = append(all, []Lit{a})
+			}
+			_, least := bruteForce(nVars, all)
+			for _, l := range fixed[len(assumptions):] {
+				if least[l.Var()] == l.Sign() {
+					t.Fatalf("probe walk fixed %v, lex-least model %v (cnf %v assume %v)",
+						fixed, least, clauses, assumptions)
+				}
 			}
 		}
 

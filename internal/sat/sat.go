@@ -19,7 +19,9 @@
 //   - incremental use: clauses may be added between Solve calls, and
 //     SolveAssuming solves under temporary assumptions while keeping
 //     every learned clause for the next call; a failed assumption set
-//     yields an UnsatCore,
+//     yields an UnsatCore, and a call that repeats a prefix of the
+//     previous call's assumptions resumes from its decision levels
+//     instead of re-placing them,
 //   - Simplify: deterministic level-0 inprocessing (satisfied-clause
 //     elimination, false-literal stripping, forward and self-
 //     subsumption) callable between solves.
@@ -215,8 +217,9 @@ type Solver struct {
 
 	ok bool // false once the formula is known unsat at level 0
 
-	// assumptions of the current SolveAssuming call; placed as the
-	// first decision levels of the search.
+	// assumptions of the current SolveAssuming call, placed as the
+	// first decision levels of the search; between calls, those of the
+	// latest call, which the next call matches to find its kept prefix.
 	assumptions []Lit
 	// core is the final conflict of the last failed SolveAssuming
 	// call: a subset of the assumptions that is jointly inconsistent
@@ -338,7 +341,11 @@ func (s *Solver) value(l Lit) lbool {
 	return lFalse
 }
 
-// Value returns the model value of variable v after a Sat result.
+// Value returns the model value of variable v after a Sat result. The
+// model stays readable until the next AddClause, Simplify or solve
+// call. After an Unsat result caused by a failed assumption the trail
+// still holds the assumption levels SolveAssuming keeps for its next
+// call, so Value then reports a partial assignment, not a model.
 func (s *Solver) Value(v int) bool { return s.assign[v] == lTrue }
 
 // AddClause adds a clause over the given literals. It returns false
@@ -862,6 +869,18 @@ func (s *Solver) Solve() Status { return s.SolveAssuming() }
 // caused by the assumptions (rather than the clauses alone) leaves the
 // solver reusable — ok stays true — and records the subset of
 // assumptions responsible, available from UnsatCore.
+//
+// Kept trail: a Sat result, and an Unsat result caused by a failed
+// assumption, leave the assumption levels on the trail. The next call
+// backtracks only to the longest prefix of its own assumptions whose
+// levels are still there (the previous call's assumptions, literal for
+// literal) and places the rest, so a sequence of probes that share and
+// extend one prefix — canonical model extraction in internal/learn —
+// propagates that prefix once. The kept levels are exactly the state a
+// backjump to that level would leave: fully propagated under the
+// current clauses. AddClause, Simplify, an Unknown result and every
+// restart drop back to level 0, so no kept level outlives a change to
+// the clause set.
 func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 	s.stop.Store(false)
 	s.core = nil
@@ -869,14 +888,22 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 		s.core = []Lit{}
 		return Unsat
 	}
-	s.backtrack(0)
-	if c := s.propagate(); c != crefUndef {
-		s.ok = false
-		s.core = []Lit{}
-		return Unsat
+	// Levels 1..len(s.assumptions) of a non-empty trail hold the
+	// previous call's assumptions in order; free decisions sit above.
+	keep := 0
+	for keep < len(s.trailLim) && keep < len(s.assumptions) && keep < len(assumptions) &&
+		s.assumptions[keep] == assumptions[keep] {
+		keep++
+	}
+	s.backtrack(keep)
+	if keep == 0 {
+		if c := s.propagate(); c != crefUndef {
+			s.ok = false
+			s.core = []Lit{}
+			return Unsat
+		}
 	}
 	s.assumptions = append(s.assumptions[:0], assumptions...)
-	defer func() { s.assumptions = s.assumptions[:0] }()
 
 	base := s.RestartBase
 	if base <= 0 {
@@ -891,7 +918,8 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 		st := s.search(budget, &maxLearnts)
 		if st != Unknown {
 			// On Sat the trail is left intact so the model stays
-			// readable; AddClause and the next solve backtrack it.
+			// readable; AddClause backtracks it to level 0, the next
+			// solve to its kept prefix.
 			return st
 		}
 		if s.stop.Load() {
@@ -972,8 +1000,9 @@ func (s *Solver) search(budget int64, maxLearnts *int64) Status {
 			p := s.assumptions[len(s.trailLim)]
 			switch s.value(p) {
 			case lFalse:
+				// The placed levels stay on the trail for the next
+				// call (see SolveAssuming).
 				s.analyzeFinal(p)
-				s.backtrack(0)
 				return Unsat
 			case lTrue:
 				// Already implied: open an empty level so the
@@ -1032,10 +1061,6 @@ func (s *Solver) analyzeFinal(p Lit) {
 	}
 	s.seen[p.Var()] = false
 }
-
-// ResetForNextSolve backtracks to level 0 so further clauses can be
-// added after a Sat result. Model values become invalid.
-func (s *Solver) ResetForNextSolve() { s.backtrack(0) }
 
 // subsumeBudget caps the literal comparisons one Simplify pass spends
 // on subsumption, so inprocessing stays a bounded, deterministic slice

@@ -583,6 +583,44 @@ func TestSolveAssumingBasic(t *testing.T) {
 	}
 }
 
+// TestSolveAssumingKeepsTrail: a call that repeats the previous call's
+// assumptions resumes from the levels that call left on the trail —
+// after a Sat result and after a failed assumption alike — so it
+// propagates less than the call that placed them.
+func TestSolveAssumingKeepsTrail(t *testing.T) {
+	const n = 50
+	for _, tc := range []struct {
+		want        Status
+		assumptions []Lit
+	}{
+		{Sat, []Lit{Pos(0)}},
+		{Unsat, []Lit{Pos(0), Neg(n - 1)}},
+	} {
+		s := New()
+		for i := 0; i < n; i++ {
+			s.NewVar()
+		}
+		for i := 0; i+1 < n; i++ {
+			s.AddClause(Neg(i), Pos(i+1)) // x_i → x_{i+1}
+		}
+		var props [2]int64
+		for k := range props {
+			before := s.Stats.Propagations
+			if got := s.SolveAssuming(tc.assumptions...); got != tc.want {
+				t.Fatalf("call %d assuming %v = %v, want %v", k+1, tc.assumptions, got, tc.want)
+			}
+			props[k] = s.Stats.Propagations - before
+		}
+		if props[1] >= props[0] {
+			t.Errorf("assuming %v: repeat call made %d propagations, first call %d",
+				tc.assumptions, props[1], props[0])
+		}
+		if tc.want == Unsat && len(s.UnsatCore()) != 2 {
+			t.Errorf("core after kept-trail Unsat = %v, want both assumptions", s.UnsatCore())
+		}
+	}
+}
+
 func TestUnsatCore(t *testing.T) {
 	s := New()
 	a, b, c, d := s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar()

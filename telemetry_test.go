@@ -130,6 +130,14 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if !ok || h.Count <= 0 || h.P95 < h.P50 {
 		t.Errorf("manifest solver_call_ns summary = %+v", h)
 	}
+	// Canonical extraction is timed apart from the portfolio solve:
+	// once per Sat round, so at most once per solver call.
+	if c, ok := got.Histograms["learn_canonical_ns"]; !ok || c.Count <= 0 || c.Count > h.Count {
+		t.Errorf("manifest learn_canonical_ns summary = %+v (solver calls %d)", c, h.Count)
+	}
+	if got.Counters["learn_canonical_solves_total"] <= 0 {
+		t.Errorf("manifest counters = %v, want learn_canonical_solves_total > 0", got.Counters)
+	}
 	if _, ok := got.Histograms["predicate_window_synth_ns"]; !ok {
 		t.Errorf("manifest missing predicate_window_synth_ns histogram (got %v)", got.Histograms)
 	}

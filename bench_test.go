@@ -249,19 +249,16 @@ func BenchmarkPredicateGeneration(b *testing.B) {
 	}
 }
 
-// benchSequence isolates predicate-sequence generation (no SAT phase)
-// on the longest trace with a fixed worker count. Comparing the two
-// benchmarks below measures the parallel engine's speedup; on a
-// single-core runner they coincide.
-func benchSequence(b *testing.B, workers int) {
-	b.Helper()
+// BenchmarkSequence isolates predicate-sequence generation (no SAT
+// phase) on the longest trace.
+func BenchmarkSequence(b *testing.B) {
 	tr, err := experiments.GenIntegrator()
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := predicate.NewGenerator(tr.Schema(), predicate.Options{Workers: workers})
+		g, err := predicate.NewGenerator(tr.Schema(), predicate.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -271,9 +268,6 @@ func benchSequence(b *testing.B, workers int) {
 		b.ReportMetric(float64(g.Stats().UniqueWindows), "uniq")
 	}
 }
-
-func BenchmarkSequenceSerial(b *testing.B)   { benchSequence(b, 1) }
-func BenchmarkSequenceParallel(b *testing.B) { benchSequence(b, 0) }
 
 // BenchmarkFtraceParse isolates the tracing front end on the kernel
 // benchmark's full system log.

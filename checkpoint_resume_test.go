@@ -78,7 +78,8 @@ func saveBytes(t *testing.T, m *repro.Model) string {
 // TestResumeMatchesCleanGolden is the ISSUE's acceptance criterion:
 // for every example trace, kill the run at several observation counts,
 // resume from the surviving checkpoint, and require a model file
-// byte-identical to an uninterrupted run — at worker counts 1 and 4.
+// byte-identical to an uninterrupted run — with the serial solver
+// (workers=1) and with a four-member portfolio on four workers.
 func TestResumeMatchesCleanGolden(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("examples", "traces", "*"))
 	if err != nil {
@@ -91,10 +92,14 @@ func TestResumeMatchesCleanGolden(t *testing.T) {
 		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				base := repro.LearnOptions{Workers: workers}
+				if workers > 1 {
+					base.Portfolio = workers
+				}
 				clean := func() string {
 					src, closeSrc := openExampleSource(t, path)
 					defer closeSrc()
-					m, err := repro.LearnSource(src, repro.LearnOptions{Workers: workers})
+					m, err := repro.LearnSource(src, base)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -103,11 +108,9 @@ func TestResumeMatchesCleanGolden(t *testing.T) {
 
 				for _, cut := range []int{12, 25} {
 					dir := t.TempDir()
-					opts := repro.LearnOptions{
-						Workers:         workers,
-						CheckpointDir:   dir,
-						CheckpointEvery: 8,
-					}
+					opts := base
+					opts.CheckpointDir = dir
+					opts.CheckpointEvery = 8
 
 					// The killed run must fail, but its checkpoint
 					// directory must hold a valid snapshot.

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	monitor -model system.t2m -in trace.csv [-informat csv|events|ftrace]
-//	        [-task comm-pid] [-j N] [-stream] [-q] [-metrics-addr HOST:PORT]
+//	        [-task comm-pid] [-stream] [-q] [-metrics-addr HOST:PORT]
 //
 // With -stream the trace is checked as it is decoded, in memory
 // bounded by the window size — the mode to use when following a long
@@ -64,13 +64,13 @@ import (
 // it names every registered flag, so it cannot drift the way the old
 // hand-maintained synopsis did.
 const usage = `usage: monitor -model system.t2m -in trace.csv [-informat csv|events|ftrace]
-               [-task comm-pid] [-j N] [-stream] [-q] [-metrics-addr HOST:PORT]
+               [-task comm-pid] [-stream] [-q] [-metrics-addr HOST:PORT]
                [-stall-after D] [-synth-cache DIR] [-run-log DIR]
        monitor -model system.t2m -active -system counter|fifo|serial|usbslot
-               [-probe N] [-seed N] [-j N] [-q] [-metrics-addr HOST:PORT]
+               [-probe N] [-seed N] [-q] [-metrics-addr HOST:PORT]
                [-stall-after D] [-synth-cache DIR] [-run-log DIR]
        monitor -live -in trace.csv [-informat csv|events|ftrace] [-task comm-pid]
-               [-j N] [-reminimize-every K] [-max-versions N] [-idle-exit D]
+               [-reminimize-every K] [-max-versions N] [-idle-exit D]
                [-save model.t2m] [-q] [-metrics-addr HOST:PORT] [-stall-after D]
                [-synth-cache DIR] [-run-log DIR]
 
@@ -79,7 +79,6 @@ const usage = `usage: monitor -model system.t2m -in trace.csv [-informat csv|eve
 // options carries every flag of one monitor invocation.
 type options struct {
 	modelPath, in, informat, task string
-	workers                       int
 	stream, quiet                 bool
 	metricsAddr                   string
 	active                        bool
@@ -104,7 +103,6 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.in, "in", "", "trace file to check (required; - for stdin)")
 	fs.StringVar(&o.informat, "informat", "", "input format: csv, events, ftrace (default by extension)")
 	fs.StringVar(&o.task, "task", "", "ftrace: task to analyse (comm-pid)")
-	fs.IntVar(&o.workers, "j", 0, "predicate-synthesis workers for trace abstraction (0 = one per CPU, 1 = serial)")
 	fs.BoolVar(&o.stream, "stream", false, "check the trace as it streams: bounded memory, same verdict")
 	fs.BoolVar(&o.quiet, "q", false, "suppress the conforming-trace message")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof/ on this address while checking")
@@ -179,7 +177,6 @@ func run(o *options) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-	model.SetWorkers(o.workers)
 
 	// SIGINT/SIGTERM cancel the check at the next observation boundary —
 	// essential when following a live trace on stdin that never ends.
@@ -292,7 +289,6 @@ func writeRunRecord(o *options, tel *repro.Telemetry, verdict string, elapsed ti
 		Config: map[string]any{
 			"informat": o.informat,
 			"task":     o.task,
-			"workers":  o.workers,
 			"stream":   o.stream,
 			"active":   o.active,
 			"system":   o.system,
@@ -335,7 +331,6 @@ func runActive(o *options) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-	model.SetWorkers(o.workers)
 	start := time.Now()
 	tel, srv, err := observability(o)
 	if err != nil {
@@ -401,7 +396,7 @@ func runLive(o *options) (int, error) {
 	}
 	defer closer()
 
-	lopts := repro.LearnOptions{Workers: o.workers, Telemetry: tel, Context: ctx}
+	lopts := repro.LearnOptions{Telemetry: tel, Context: ctx}
 	if o.synthCacheDir != "" {
 		if lopts.SynthCache, err = repro.OpenSynthCache(o.synthCacheDir); err != nil {
 			return 2, err

@@ -79,7 +79,7 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.probeCap, "probe-cap", 0, "probe length budget in observations (0 = the canonical trace length)")
 	fs.IntVar(&o.depth, "depth", 0, "distinguishing-word search depth between successive hypotheses (0 = default)")
 	fs.IntVar(&o.rounds, "rounds", 0, "probe round budget (0 = default)")
-	fs.IntVar(&o.workers, "j", 0, "predicate-synthesis / solver workers (0 = one per CPU, 1 = serial; results identical)")
+	fs.IntVar(&o.workers, "j", 0, "max concurrent solver-portfolio members, used only with -portfolio (0 = one per CPU; results identical)")
 	fs.IntVar(&o.portfolio, "portfolio", 0, "race this many SAT solver configurations per solve (0/1 = serial; results identical)")
 	fs.StringVar(&o.save, "save", "", "save the stabilized model to this file (t2m format)")
 	fs.StringVar(&o.benchOut, "bench-out", "", "write the run as a BENCH_active.json document to this file")
@@ -133,7 +133,7 @@ func run(o *options) (int, error) {
 		}
 	}
 	copts := core.Options{
-		Predicate: predicate.Options{Workers: o.workers, Cache: o.scache},
+		Predicate: predicate.Options{Cache: o.scache},
 		Learn:     learn.Options{Portfolio: o.portfolio, Workers: o.workers},
 	}
 	// The refinement loop's counters land in the run record, so a probe
@@ -259,7 +259,7 @@ func writeBench(o *options, sys systems.Scheduler, seedObs int, res *active.Resu
 		return err
 	}
 	pl, err := core.NewPipeline(full.Schema(), core.Options{
-		Predicate: predicate.Options{Workers: o.workers, Cache: o.scache},
+		Predicate: predicate.Options{Cache: o.scache},
 		Learn:     learn.Options{Portfolio: o.portfolio, Workers: o.workers},
 	})
 	if err != nil {

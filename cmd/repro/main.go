@@ -45,7 +45,7 @@ func main() {
 		fullTimeout  = flag.Duration("full-timeout", 60*time.Second, "timeout for non-segmented runs (Table I, Fig 7)")
 		mergeTimeout = flag.Duration("merge-timeout", 60*time.Second, "timeout for state-merge runs (Table II)")
 		maxExp       = flag.Int("max-exp", 15, "largest 2^k trace length for Fig 7")
-		workers      = flag.Int("j", 0, "predicate-synthesis / solver-portfolio workers (0 = one per CPU, 1 = serial; results identical)")
+		workers      = flag.Int("j", 0, "max concurrent solver-portfolio members, used only with -portfolio (0 = one per CPU; results identical)")
 		portfolio    = flag.Int("portfolio", 0, "race this many SAT solver configurations per solve (0/1 = serial; results identical)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof/ on this address; counters accumulate across experiment runs")
 		synthCache   = flag.String("synth-cache", "", "share synthesized window predicates across experiment runs via this cache directory (identical results, warm runs faster)")

@@ -22,7 +22,8 @@
 // a sliding window directly into predicate synthesis and the learner
 // consumes the run-length-encoded predicate stream, so memory stays
 // bounded by the number of distinct windows regardless of trace
-// length. The learned automaton is byte-identical to the batch path.
+// length. The learned automaton is byte-identical to the in-memory
+// path.
 package main
 
 import (
@@ -85,7 +86,7 @@ func main() {
 	flag.IntVar(&cfg.maxStates, "max-states", 0, "state-count cap (0 = 64)")
 	flag.BoolVar(&cfg.noSeg, "no-segmentation", false, "disable segmentation (full-trace mode)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "search timeout (0 = none)")
-	flag.IntVar(&cfg.workers, "j", 0, "predicate-synthesis / solver-portfolio workers (0 = one per CPU, 1 = serial; results identical)")
+	flag.IntVar(&cfg.workers, "j", 0, "max concurrent solver-portfolio members, used only with -portfolio (0 = one per CPU; results identical)")
 	flag.IntVar(&cfg.portfolio, "portfolio", 0, "race this many SAT solver configurations per solve (0/1 = serial; results identical)")
 	flag.BoolVar(&cfg.stream, "stream", false, "stream the trace: bounded memory, identical model")
 	flag.StringVar(&cfg.checkpointDir, "checkpoint", "", "periodically checkpoint the run into this directory (requires -stream)")
@@ -480,8 +481,7 @@ func openSource(in, informat, task, signals string) (repro.Source, func(), error
 	if in != "-" {
 		// OpenBytes mmaps the file when the platform allows: the CSV,
 		// events and ftrace sources then decode zero-copy straight out
-		// of the page cache (and CSV additionally becomes eligible for
-		// sharded block ingestion).
+		// of the page cache.
 		b, err := trace.OpenBytes(in)
 		if err != nil {
 			return nil, nil, err

@@ -10,8 +10,6 @@ import (
 	"repro"
 	"repro/internal/active"
 	"repro/internal/core"
-	"repro/internal/learn"
-	"repro/internal/predicate"
 	"repro/internal/systems"
 )
 
@@ -59,15 +57,16 @@ func diffInputs(t *testing.T) []diffInput {
 }
 
 // TestDifferentialModes is the cross-mode differential harness: every
-// input goes through the batch path, the streaming path at worker
-// counts 1 and 4, the portfolio solver, and a crash + checkpoint-resume
-// run — and all five must produce byte-identical automata. Any mode
-// that drifts from the batch reference is reported by name.
+// input goes through the in-memory path, the streaming path, the
+// portfolio solver, a warm synthesis cache, and a crash +
+// checkpoint-resume run — and all five must produce byte-identical
+// automata. Any mode that drifts from the in-memory reference is
+// reported by name.
 func TestDifferentialModes(t *testing.T) {
 	for _, in := range diffInputs(t) {
 		in := in
 		t.Run(in.name, func(t *testing.T) {
-			ref, err := repro.Learn(in.tr, repro.LearnOptions{Workers: 1})
+			ref, err := repro.Learn(in.tr, repro.LearnOptions{})
 			if err != nil {
 				t.Fatalf("batch learn: %v", err)
 			}
@@ -77,8 +76,7 @@ func TestDifferentialModes(t *testing.T) {
 				name string
 				opts repro.LearnOptions
 			}{
-				{"stream-w1", repro.LearnOptions{Workers: 1}},
-				{"stream-w4", repro.LearnOptions{Workers: 4}},
+				{"stream", repro.LearnOptions{}},
 				{"portfolio-w4", repro.LearnOptions{Workers: 4, Portfolio: 2}},
 			}
 			for _, mode := range modes {
@@ -102,14 +100,14 @@ func TestDifferentialModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := repro.Learn(in.tr, repro.LearnOptions{Workers: 4, SynthCache: prime}); err != nil {
+			if _, err := repro.Learn(in.tr, repro.LearnOptions{SynthCache: prime}); err != nil {
 				t.Fatalf("cache-priming learn: %v", err)
 			}
 			warm, err := repro.OpenSynthCache(cacheDir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := repro.LearnSource(repro.NewTraceSource(in.tr), repro.LearnOptions{Workers: 4, SynthCache: warm})
+			m, err := repro.LearnSource(repro.NewTraceSource(in.tr), repro.LearnOptions{SynthCache: warm})
 			if err != nil {
 				t.Fatalf("warm-cache learn: %v", err)
 			}
@@ -123,7 +121,7 @@ func TestDifferentialModes(t *testing.T) {
 			// Crash mid-ingestion, then resume from the surviving
 			// checkpoint: the recovered model must also match.
 			dir := t.TempDir()
-			opts := repro.LearnOptions{Workers: 4, CheckpointDir: dir, CheckpointEvery: 4}
+			opts := repro.LearnOptions{CheckpointDir: dir, CheckpointEvery: 4}
 			cut := in.tr.Len() / 2
 			_, err = repro.LearnSource(&cutSource{src: repro.NewTraceSource(in.tr), limit: cut}, opts)
 			if !errors.Is(err, errKilled) {
@@ -200,11 +198,7 @@ func TestDifferentialProbeFixpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := in.tr.Len()
-			copts := core.Options{
-				Predicate: predicate.Options{Workers: 1},
-				Learn:     learn.Options{},
-			}
-			res, err := active.Refine(sys, in.tr, copts, active.Options{
+			res, err := active.Refine(sys, in.tr, core.Options{}, active.Options{
 				ProbeStart: n,
 				ProbeCap:   n,
 				MaxRounds:  2,
@@ -229,7 +223,7 @@ func TestDifferentialProbeFixpoint(t *testing.T) {
 				t.Errorf("found a distinguishing word %v on a fixpoint model", r.Distinction.Word)
 			}
 
-			ref, err := repro.Learn(in.tr, repro.LearnOptions{Workers: 1})
+			ref, err := repro.Learn(in.tr, repro.LearnOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/learn"
 	"repro/internal/pipeline"
-	"repro/internal/predicate"
 	"repro/internal/systems"
 	"repro/internal/trace"
 )
@@ -57,8 +56,8 @@ func roundSummary(rounds []active.Round) string {
 // each simulated system, starting from a model learned on a
 // deliberately truncated trace, the active loop stabilizes within the
 // round budget and the final model is byte-identical to the model
-// learned passively from the full canonical trace — at every worker
-// count and with the portfolio solver on.
+// learned passively from the full canonical trace — with the serial
+// solver and with the portfolio solver on.
 func TestRefineReachesPassiveFixpoint(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -83,19 +82,14 @@ func TestRefineReachesPassiveFixpoint(t *testing.T) {
 
 			configs := []struct {
 				label     string
-				workers   int
 				portfolio int
 			}{
-				{"serial-solver-w1", 1, 0},
-				{"parallel-w4", 4, 0},
-				{"portfolio-w4", 4, 2},
+				{"serial-solver", 0},
+				{"portfolio", 2},
 			}
 			var baseline string
 			for _, cfg := range configs {
-				copts := core.Options{
-					Predicate: predicate.Options{Workers: cfg.workers},
-					Learn:     learn.Options{Portfolio: cfg.portfolio},
-				}
+				copts := core.Options{Learn: learn.Options{Portfolio: cfg.portfolio}}
 				res, err := active.Refine(sys, seed, copts, active.Options{ProbeCap: n})
 				if err != nil {
 					t.Fatalf("%s: %v", cfg.label, err)

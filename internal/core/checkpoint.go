@@ -1,15 +1,15 @@
 // Checkpointed streaming ingestion: this file drives LearnSource when
 // core.Options.Checkpoint is enabled. The source is consumed in
 // bounded epochs (Config.Every observations per SequenceSource call);
-// each epoch boundary is a quiescent point — the windower and all its
-// worker goroutines have returned, so the generator, the RLE run log
-// and the consumed-observation count are mutually consistent at any
-// worker count — and that is where ingest-phase checkpoints are
-// written. Epochs change nothing observable: the next epoch's source
-// first replays the last w−1 observations (no hashing, no counting) so
-// the first new observation completes exactly the next unprocessed
-// window, and learn.Seq.Append merges runs split at the boundary, so
-// the final model is byte-identical to a single-pass run.
+// each epoch boundary is a quiescent point — the windower has
+// returned, so the generator, the RLE run log and the consumed-
+// observation count are mutually consistent — and that is where
+// ingest-phase checkpoints are written. Epochs change nothing
+// observable: the next epoch's source first replays the last w−1
+// observations (no hashing, no counting) so the first new observation
+// completes exactly the next unprocessed window, and learn.Seq.Append
+// merges runs split at the boundary, so the final model is
+// byte-identical to a single-pass run.
 //
 // Resume fast-forwards the source past the checkpointed offset,
 // re-hashing the skipped prefix and refusing to continue unless it
@@ -19,7 +19,6 @@
 package core
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -271,7 +270,6 @@ func (d *ckptDriver) prefetch(src trace.Source) (bool, error) {
 // hold the complete ingestion state (or an error is pending and no
 // checkpoint was written for the incomplete epoch).
 func (d *ckptDriver) ingest(src trace.Source, emit func(predicate.Run) error) error {
-	ctx := d.p.opts.Context
 	if d.from != nil {
 		if err := d.fastForward(src); err != nil {
 			return err
@@ -297,7 +295,6 @@ func (d *ckptDriver) ingest(src trace.Source, emit func(predicate.Run) error) er
 			src:    src,
 			prime:  d.prime(),
 			budget: d.every,
-			ctx:    ctx,
 			eof:    eof,
 		}
 		es.pending, d.pending = d.pending, nil
@@ -408,7 +405,7 @@ func (d *ckptDriver) write(phase string, ls *learn.CheckpointState) error {
 // prefix (the previous epoch's last w−1 observations, not re-counted),
 // then up to budget new observations from the underlying source, then
 // EOF. All driver accounting (hash, ring, offset) happens here, on the
-// single goroutine the windower reads the source from.
+// windower's goroutine; the windower itself checks the run context.
 type epochSource struct {
 	drv     *ckptDriver
 	src     trace.Source
@@ -416,9 +413,7 @@ type epochSource struct {
 	pi      int
 	pending trace.Observation // first new observation, prefetched
 	budget  int
-	took    int
 	eof     bool
-	ctx     context.Context
 }
 
 func (es *epochSource) Schema() *trace.Schema { return es.src.Schema() }
@@ -431,11 +426,6 @@ func (es *epochSource) Next() (trace.Observation, error) {
 	}
 	if es.budget <= 0 || es.eof {
 		return nil, io.EOF
-	}
-	if es.ctx != nil && es.took&1023 == 0 {
-		if err := es.ctx.Err(); err != nil {
-			return nil, err
-		}
 	}
 	var obs trace.Observation
 	if es.pending != nil {
@@ -453,28 +443,7 @@ func (es *epochSource) Next() (trace.Observation, error) {
 	}
 	es.drv.note(obs)
 	es.budget--
-	es.took++
 	return obs, nil
-}
-
-// ctxSource makes a plain (non-checkpointed) streaming run cancellable
-// between observations.
-type ctxSource struct {
-	src  trace.Source
-	ctx  context.Context
-	took int
-}
-
-func (s *ctxSource) Schema() *trace.Schema { return s.src.Schema() }
-
-func (s *ctxSource) Next() (trace.Observation, error) {
-	if s.took&255 == 0 {
-		if err := s.ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	s.took++
-	return s.src.Next()
 }
 
 // interrupted wraps err with the stage the run was cancelled in when

@@ -14,7 +14,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/automaton"
@@ -109,9 +108,12 @@ func (p *Pipeline) Generator() *predicate.Generator { return p.gen }
 // and check further traces.
 type Model struct {
 	Automaton *automaton.NFA
-	P         []string
-	Alphabet  map[string]*predicate.Predicate
-	States    int
+	// P is the expanded predicate-key sequence of the training traces,
+	// concatenated; only the in-memory entry points (Learn, LearnAll)
+	// fill it, streamed runs leave it nil.
+	P        []string
+	Alphabet map[string]*predicate.Predicate
+	States   int
 
 	PredicateStats predicate.Stats
 	LearnStats     learn.Stats
@@ -122,11 +124,6 @@ type Model struct {
 
 	pipeline *Pipeline
 }
-
-// SetWorkers sets the worker count the model's predicate generator
-// uses when abstracting further traces (Check); see
-// predicate.Options.Workers.
-func (m *Model) SetWorkers(n int) { m.pipeline.gen.SetWorkers(n) }
 
 // SetTelemetry attaches telemetry to the model's pipeline for the
 // monitoring path (Check/CheckSource on a loaded model).
@@ -178,175 +175,6 @@ func (m *Model) BuildManifest(tel *pipeline.Telemetry) *pipeline.Manifest {
 	return man
 }
 
-// predicateSpan ends a predicate-abstraction span with the stage's
-// counters, computed as the generator-stats delta across the stage.
-func predicateSpan(sp *pipeline.Span, d predicate.Stats) {
-	sp.Add("windows", int64(d.Windows)).
-		Add("memo_hits", int64(d.MemoHits)).
-		Add("unique_windows", int64(d.UniqueWindows)).
-		Add("synth_calls", int64(d.SynthCalls)).
-		Add("seed_hits", int64(d.SeedHits)).
-		End()
-}
-
-// endPredicateStage closes a predicate stage trace span with the
-// generator-stats delta of the stage.
-func endPredicateStage(tr *pipeline.Tracer, id pipeline.SpanID, d predicate.Stats) {
-	if !tr.Enabled() {
-		return
-	}
-	tr.End(id,
-		pipeline.Int("windows", int64(d.Windows)),
-		pipeline.Int("memo_hits", int64(d.MemoHits)),
-		pipeline.Int("unique_windows", int64(d.UniqueWindows)),
-		pipeline.Int("synth_calls", int64(d.SynthCalls)),
-		pipeline.Int("seed_hits", int64(d.SeedHits)))
-}
-
-// endModelStage closes a model stage trace span with the search's
-// solver counters (res may be nil on failed runs).
-func endModelStage(tr *pipeline.Tracer, id pipeline.SpanID, res *learn.Result) {
-	if !tr.Enabled() {
-		return
-	}
-	if res == nil {
-		tr.End(id, pipeline.Bool("ok", false))
-		return
-	}
-	s := res.Stats
-	tr.End(id,
-		pipeline.Int("states", int64(s.FinalStates)),
-		pipeline.Int("segments", int64(s.Segments)),
-		pipeline.Int("solver_calls", int64(s.SolverCalls)),
-		pipeline.Int("refinements", int64(s.Refinements+s.AcceptRefinements)),
-		pipeline.Int("sat_conflicts", s.SATConflicts))
-}
-
-// modelSpan ends a model-construction span with the solver counters.
-func modelSpan(sp *pipeline.Span, s learn.Stats) {
-	sp.Add("segments", int64(s.Segments)).
-		Add("solver_calls", int64(s.SolverCalls)).
-		Add("refinements", int64(s.Refinements+s.AcceptRefinements)).
-		Add("sat_conflicts", s.SATConflicts).
-		Add("sat_decisions", s.SATDecisions).
-		Add("sat_propagations", s.SATPropagations).
-		Add("sat_learned", s.SATLearned).
-		Add("states", int64(s.FinalStates)).
-		End()
-}
-
-// Learn runs the full pipeline on one trace.
-func (p *Pipeline) Learn(tr *trace.Trace) (*Model, error) {
-	if tr == nil || tr.Len() < 2 {
-		return nil, errors.New("core: trace must have at least 2 observations")
-	}
-	var metrics pipeline.Metrics
-	ttr := p.opts.Telemetry.Trace()
-	run := ttr.Start(0, "run")
-	before := p.gen.Stats()
-	sp := metrics.Start("predicate")
-	stage := p.startStage(run, "predicate")
-	preds, err := p.gen.Sequence(tr)
-	if err != nil {
-		ttr.End(stage)
-		ttr.End(run)
-		return nil, err
-	}
-	d := p.gen.Stats().Minus(before)
-	endPredicateStage(ttr, stage, d)
-	predicateSpan(sp, d)
-	P := make([]string, len(preds))
-	alphabet := make(map[string]*predicate.Predicate)
-	for i, pr := range preds {
-		P[i] = pr.Key
-		alphabet[pr.Key] = pr
-	}
-	sp = metrics.Start("model")
-	lo := p.opts.Learn
-	lo.TraceSpan = p.startStage(run, "model")
-	res, err := learn.GenerateModel(P, lo)
-	endModelStage(ttr, lo.TraceSpan, res)
-	ttr.End(run)
-	if err != nil {
-		return nil, fmt.Errorf("core: model construction: %w", err)
-	}
-	modelSpan(sp, res.Stats)
-	return &Model{
-		Automaton:      res.Automaton,
-		P:              P,
-		Alphabet:       alphabet,
-		States:         res.Stats.FinalStates,
-		PredicateStats: p.gen.Stats(),
-		LearnStats:     res.Stats,
-		Stages:         metrics.Stages(),
-		pipeline:       p,
-	}, nil
-}
-
-// LearnAll learns one model from several traces of the same system —
-// independent runs all starting in the same initial state, exercising
-// behaviours one run alone may miss. Predicate abstraction is shared
-// (one alphabet) and the learned automaton accepts every run.
-func (p *Pipeline) LearnAll(trs []*trace.Trace) (*Model, error) {
-	if len(trs) == 0 {
-		return nil, errors.New("core: no traces")
-	}
-	var metrics pipeline.Metrics
-	ttr := p.opts.Telemetry.Trace()
-	run := ttr.Start(0, "run")
-	before := p.gen.Stats()
-	sp := metrics.Start("predicate")
-	stage := p.startStage(run, "predicate")
-	Ps := make([][]string, len(trs))
-	alphabet := make(map[string]*predicate.Predicate)
-	for i, tr := range trs {
-		if tr == nil || tr.Len() < 2 {
-			ttr.End(stage)
-			ttr.End(run)
-			return nil, fmt.Errorf("core: trace %d must have at least 2 observations", i)
-		}
-		preds, err := p.gen.Sequence(tr)
-		if err != nil {
-			ttr.End(stage)
-			ttr.End(run)
-			return nil, fmt.Errorf("core: trace %d: %w", i, err)
-		}
-		P := make([]string, len(preds))
-		for j, pr := range preds {
-			P[j] = pr.Key
-			alphabet[pr.Key] = pr
-		}
-		Ps[i] = P
-	}
-	d := p.gen.Stats().Minus(before)
-	endPredicateStage(ttr, stage, d)
-	predicateSpan(sp, d)
-	sp = metrics.Start("model")
-	lo := p.opts.Learn
-	lo.TraceSpan = p.startStage(run, "model")
-	res, err := learn.GenerateModelMulti(Ps, lo)
-	endModelStage(ttr, lo.TraceSpan, res)
-	ttr.End(run)
-	if err != nil {
-		return nil, fmt.Errorf("core: model construction: %w", err)
-	}
-	modelSpan(sp, res.Stats)
-	var flat []string
-	for _, P := range Ps {
-		flat = append(flat, P...)
-	}
-	return &Model{
-		Automaton:      res.Automaton,
-		P:              flat,
-		Alphabet:       alphabet,
-		States:         res.Stats.FinalStates,
-		PredicateStats: p.gen.Stats(),
-		LearnStats:     res.Stats,
-		Stages:         metrics.Stages(),
-		pipeline:       p,
-	}, nil
-}
-
 // Violation reports the first behaviour of a checked trace that the
 // model does not explain.
 type Violation struct {
@@ -380,13 +208,15 @@ func (v *Violation) Error() string {
 // know); the active prober uses this to locate and report divergences
 // with their surrounding symbol context.
 func (m *Model) Abstract(tr *trace.Trace) ([]string, error) {
-	preds, err := m.pipeline.gen.Sequence(tr)
+	var keys []string
+	err := m.pipeline.gen.SequenceSource(trace.NewTraceSource(tr), func(r predicate.Run) error {
+		for i := 0; i < r.Count; i++ {
+			keys = append(keys, r.Pred.Key)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	keys := make([]string, len(preds))
-	for i, pr := range preds {
-		keys[i] = pr.Key
 	}
 	return keys, nil
 }
@@ -395,30 +225,9 @@ func (m *Model) Abstract(tr *trace.Trace) ([]string, error) {
 // generator and runs it through the automaton, returning the first
 // violation, or nil when the model explains the whole trace. The
 // paper's monitoring application: learned kernel models checking live
-// scheduler traces.
+// scheduler traces. It is CheckSource over the trace.
 func (m *Model) Check(tr *trace.Trace) (*Violation, error) {
-	preds, err := m.pipeline.gen.Sequence(tr)
-	if err != nil {
-		return nil, err
-	}
-	known := map[string]bool{}
-	for _, sym := range m.Automaton.Symbols() {
-		known[sym] = true
-	}
-	cur := m.Automaton.Initial()
-	for i, pr := range preds {
-		succ := m.Automaton.Successors(cur, pr.Key)
-		if len(succ) == 0 {
-			return &Violation{
-				Position:    i,
-				Predicate:   pr.Key,
-				KnownSymbol: known[pr.Key],
-				State:       cur,
-			}, nil
-		}
-		cur = succ[0]
-	}
-	return nil, nil
+	return m.CheckSource(trace.NewTraceSource(tr))
 }
 
 // Explain returns, for every automaton transition, one witness step

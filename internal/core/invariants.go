@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/automaton"
 	"repro/internal/expr"
+	"repro/internal/predicate"
 	"repro/internal/trace"
 )
 
@@ -35,10 +36,6 @@ type StateInvariant struct {
 func (m *Model) StateInvariants(tr *trace.Trace, maxSymValues int) ([]StateInvariant, error) {
 	if maxSymValues <= 0 {
 		maxSymValues = 4
-	}
-	preds, err := m.pipeline.gen.Sequence(tr)
-	if err != nil {
-		return nil, err
 	}
 	schema := m.pipeline.schema
 
@@ -93,15 +90,22 @@ func (m *Model) StateInvariants(tr *trace.Trace, maxSymValues int) ([]StateInvar
 	// starts at observation i). The final w−1 observations are
 	// interior to the last window and belong to the final state.
 	cur := m.Automaton.Initial()
-	for i, pr := range preds {
-		record(cur, tr.At(i))
-		succ := m.Automaton.Successors(cur, pr.Key)
-		if len(succ) == 0 {
-			return nil, fmt.Errorf("core: trace leaves the model at position %d (%s); invariants require a conforming trace", i, pr.Key)
+	i := 0
+	err := m.pipeline.gen.SequenceSource(trace.NewTraceSource(tr), func(r predicate.Run) error {
+		for end := i + r.Count; i < end; i++ {
+			record(cur, tr.At(i))
+			succ := m.Automaton.Successors(cur, r.Pred.Key)
+			if len(succ) == 0 {
+				return fmt.Errorf("core: trace leaves the model at position %d (%s); invariants require a conforming trace", i, r.Pred.Key)
+			}
+			cur = succ[0]
 		}
-		cur = succ[0]
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i := len(preds); i < tr.Len(); i++ {
+	for ; i < tr.Len(); i++ {
 		record(cur, tr.At(i))
 	}
 

@@ -61,10 +61,10 @@ func Cases() []Case {
 	}
 }
 
-// Workers is the predicate-synthesis worker count applied to every
-// experiment run (cmd/repro's -j flag). Zero means one worker per
-// available CPU; 1 forces the serial path. Results are identical
-// either way — only wall-clock time changes.
+// Workers bounds the solver portfolio's concurrency in every
+// experiment run (cmd/repro's -j flag); it matters only with Portfolio
+// above one. Zero means one worker per available CPU. Results are
+// identical either way — only wall-clock time changes.
 var Workers int
 
 // Portfolio is the SAT solver portfolio size applied to every

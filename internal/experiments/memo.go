@@ -26,7 +26,8 @@ import (
 // MemoRow is one benchmark × worker-count measurement of the cache.
 type MemoRow struct {
 	// Name is the benchmark's table name; TraceLen its trace length;
-	// Workers the predicate-synthesis worker count of every leg.
+	// Workers the -j setting of every leg (solver-portfolio
+	// concurrency, so it changes nothing unless Portfolio > 1).
 	Name     string `json:"name"`
 	TraceLen int    `json:"trace_len"`
 	Workers  int    `json:"workers"`
@@ -54,8 +55,8 @@ type MemoRow struct {
 	CorruptIdentical bool `json:"corrupt_identical"`
 }
 
-// memoWorkerCounts: byte-identity is pinned at the serial path and a
-// representative parallel one.
+// memoWorkerCounts: the -j settings each cache leg runs at; they vary
+// only the solver portfolio's concurrency.
 var memoWorkerCounts = []int{1, 4}
 
 // memoSharedRuns is how many concurrent learners race one cache

@@ -161,10 +161,9 @@ type Stats struct {
 	SATPropagations   int64
 	SATLearned        int64 // clauses learned (and kept across solves)
 	Duration          time.Duration
-	// CPU is the process CPU time consumed by the search. On a
-	// single run it tracks Duration (the solver is single-threaded);
-	// it exists so stage reports can separate solver cost from the
-	// parallel predicate stage, whose CPU exceeds its wall time.
+	// CPU is the process CPU time consumed by the search. With the
+	// serial solver it tracks Duration; a portfolio on several workers
+	// spends more CPU than wall time.
 	CPU time.Duration
 }
 

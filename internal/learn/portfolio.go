@@ -1,8 +1,7 @@
 // Portfolio model construction: race several solver configurations on
 // the same automaton-existence question and decide each solve round
-// deterministically, mirroring the replay discipline of
-// internal/predicate/parallel.go (speculate in parallel, decide by a
-// rule that does not depend on scheduling).
+// deterministically (speculate in parallel, decide by a rule that does
+// not depend on scheduling).
 //
 // Every member solves a formula equisatisfiable with the canonical
 // n-state encoding, so the Sat/Unsat status of a round is a fact about

@@ -1,9 +1,8 @@
 // Package pipeline provides light-weight per-stage metrics for the
 // learning pipeline: wall-clock and CPU time plus named counters for
 // each stage (predicate abstraction, model construction). cmd/repro
-// prints a stage table per experiment; the CPU column is what makes
-// the parallel predicate engine's speedup visible — wall time drops
-// while CPU time stays at the serial cost.
+// prints a stage table per experiment; the CPU column shows concurrent
+// work (the solver portfolio) as CPU time above wall time.
 package pipeline
 
 import (

@@ -3,9 +3,8 @@
 // an on-disk, content-addressed record of a previous build of the same
 // window before enumerating, and publishes its own outcome after.
 //
-// The design reuses the speculate/replay decomposition of parallel.go
-// wholesale. A cache entry is exactly a persisted speculation record —
-// the per-call outcomes whose validity does not depend on when (or in
+// A cache entry is a replay record: the per-call synthesizer outcomes
+// of one window build whose validity does not depend on when (or in
 // which process) they were computed:
 //
 //   - a call the producing run answered by CEGIS search stores the
@@ -15,14 +14,14 @@
 //   - a call the producing run answered from its seed pool stores only
 //     a marker: pools are run-local history, so the consuming run must
 //     re-decide the call against its own pool — replayNext treats the
-//     marker like a missing record and falls back to full serial
-//     synthesis when its authoritative seed pass misses;
+//     marker like a missing record and falls back to full synthesis
+//     when its own seed pass misses;
 //   - deterministic failures (ErrInconsistent, ErrNoSolution) store
 //     their class; anything else (cancellation) poisons the record so
 //     it is never published.
 //
-// Replay against the authoritative pool is the same code path that
-// makes the parallel engine byte-identical to the serial one, so a
+// Replay re-runs the window build with the direct path's decision rule
+// (seed pass against the live pool first, the record otherwise), so a
 // model learned with the cache cold, warm, shared, corrupted or
 // disabled is byte-identical in all five states — the cache can only
 // change how fast a window builds, never what it builds.
@@ -30,8 +29,7 @@
 // Keys hash the window's canonical value content (insertion-order
 // independent: two runs that intern observations in different orders
 // digest the same window identically) together with every synthesis
-// parameter that can change a build's outcome. Lookup and store run
-// without g.mu on the parallel paths, so entry I/O overlaps synthesis.
+// parameter that can change a build's outcome.
 package predicate
 
 import (
@@ -47,6 +45,33 @@ import (
 	"repro/internal/synthcache"
 	"repro/internal/trace"
 )
+
+// synthRecord is the replayable outcome of one synthesizer call,
+// decoded from a cross-run cache entry.
+type synthRecord struct {
+	f   expr.Expr
+	err error
+	// seed marks a call the producing run answered from its seed pool:
+	// replay must re-decide it against the live pool (synthesising
+	// afresh on a miss), never reuse a value.
+	seed bool
+	// name is the recorded variable; replay poisons the job on a
+	// mismatch.
+	name string
+}
+
+// cacheJob is one unique-window build against the cache: the window's
+// digest, the records of a previous build (none on a miss), and the
+// outcomes this build publishes.
+type cacheJob struct {
+	dig        synthcache.Digest
+	recs       []synthRecord
+	cur        int  // next record replay consumes
+	fromCache  bool // recs were loaded from an entry
+	cachedExpr int  // ExprCalls of the loaded entry
+	pub        []synthcache.Call
+	poison     bool
+}
 
 // SetSynthCache attaches a cross-run synthesis cache, or detaches it
 // (nil). Attach before any Sequence/FromWindow call, not concurrently
@@ -116,31 +141,23 @@ func (g *Generator) cacheDigest(win *trace.Trace) synthcache.Digest {
 }
 
 // cacheLookup consults the cache for the job's window, filling
-// job.recs with the decoded call records on a hit; it reports whether
-// speculation can be skipped. Entries that pass the byte-level
-// checksum but fail semantic decoding (unparseable or non-canonical
-// expression text) are reclassified as corrupt and treated as misses.
-// Safe without g.mu: the cache handle, key prefix and schema types are
-// immutable while a sequence runs.
-func (g *Generator) cacheLookup(job *specJob) bool {
-	if g.cache == nil {
-		return false
-	}
-	job.dig = g.cacheDigest(job.win)
-	job.hasDig = true
+// job.recs with the decoded call records on a hit. Entries that pass
+// the byte-level checksum but fail semantic decoding (unparseable or
+// non-canonical expression text) are reclassified as corrupt and
+// treated as misses.
+func (g *Generator) cacheLookup(job *cacheJob) {
 	ent, ok := g.cache.Load(job.dig)
 	if !ok {
-		return false
+		return
 	}
 	recs, err := g.decodeEntry(ent)
 	if err != nil {
 		g.cache.Reject()
-		return false
+		return
 	}
 	job.recs = recs
 	job.fromCache = true
 	job.cachedExpr = ent.ExprCalls()
-	return true
 }
 
 // decodeEntry converts a cache entry into replayable records, with the
@@ -176,10 +193,9 @@ func (g *Generator) decodeEntry(ent *synthcache.Entry) ([]synthRecord, error) {
 // pubCall records one replay outcome for publication: a pool answer as
 // a seed marker, a search answer as its expression text, deterministic
 // failures as their class. Any other outcome poisons the window's
-// record. No-op without a cache, so the disabled path allocates
-// nothing.
-func (g *Generator) pubCall(job *specJob, name string, f expr.Expr, seedHit bool, err error) {
-	if g.cache == nil || job == nil || job.poison {
+// record.
+func (job *cacheJob) pubCall(name string, f expr.Expr, seedHit bool, err error) {
+	if job.poison {
 		return
 	}
 	call := synthcache.Call{Var: name}
@@ -206,8 +222,8 @@ func (g *Generator) pubCall(job *specJob, name string, f expr.Expr, seedHit bool
 // run resolved strictly more calls to seed-free expressions than the
 // stored record — the richer record saves future cold-pool runs more
 // enumeration, while an equal or poorer one would only churn the file.
-func (g *Generator) cachePublish(job *specJob) {
-	if g.cache == nil || !job.hasDig || job.poison {
+func (g *Generator) cachePublish(job *cacheJob) {
+	if job.poison {
 		return
 	}
 	ent := &synthcache.Entry{Calls: job.pub}
@@ -217,16 +233,81 @@ func (g *Generator) cachePublish(job *specJob) {
 	_ = g.cache.Store(job.dig, ent)
 }
 
-// buildCached is the serial unique-window build against the cache:
-// look the window up, replay whatever record exists (an empty record
-// list replays as pure serial synthesis), publish on success. Callers
-// hold g.mu and wrap the call in buildUnique's telemetry.
+// buildCached is the unique-window build against the cache: look the
+// window up, replay whatever record exists (an empty record list
+// replays as pure synthesis), publish on success. Callers hold g.mu and
+// wrap the call in buildUnique's telemetry.
 func (g *Generator) buildCached(win *trace.Trace) (expr.Expr, error) {
-	job := &specJob{win: win}
+	job := &cacheJob{dig: g.cacheDigest(win)}
 	g.cacheLookup(job)
-	e, err := g.buildExpr(win, g.replayNexter(job))
+	e, err := g.buildExpr(win, func(name string, examples []synth.Example) (expr.Expr, error) {
+		return g.replayNext(name, examples, job)
+	})
 	if err == nil {
 		g.cachePublish(job)
 	}
 	return e, err
+}
+
+// replayNext reproduces exactly what synthesizeNext would return at
+// this point of the seed-pool evolution, substituting the job's next
+// cached record for the enumeration when the seed pass misses, and
+// records every outcome on the job for publication. Callers hold g.mu.
+func (g *Generator) replayNext(name string, examples []synth.Example, job *cacheJob) (expr.Expr, error) {
+	var rec *synthRecord
+	if job.cur < len(job.recs) {
+		rec = &job.recs[job.cur]
+		job.cur++
+	}
+	g.stats.SynthCalls++
+	// Order inside synth.Synthesize: consistency check, then seed
+	// pass, then search.
+	if err := synth.CheckExamples(examples); err != nil {
+		job.pubCall(name, nil, false, err)
+		return nil, err
+	}
+	if rec != nil && rec.name != name {
+		// A record for a different call sequence than this build ran:
+		// synthesise the rest of the window and never publish it.
+		job.poison = true
+		rec = nil
+	}
+	if rec != nil && rec.seed {
+		// The producing run's pool answered this call; ours decides
+		// afresh below, exactly like a missing record.
+		rec = nil
+	}
+	var f expr.Expr
+	if !g.opts.NoReuse {
+		for _, s := range g.sortedSeeds(name) {
+			if synth.ConsistentWith(s, examples) {
+				f = s
+				break
+			}
+		}
+	}
+	seedHit := f != nil
+	if f == nil {
+		switch {
+		case rec == nil:
+			// No usable record: synthesise (the seed pass inside
+			// misses again; only the CEGIS search runs).
+			var err error
+			f, err = g.searchNext(name, examples)
+			if err != nil {
+				job.pubCall(name, nil, false, err)
+				return nil, err
+			}
+		case rec.err != nil:
+			// The seed pool could not rescue the recorded failure, so
+			// synthesis fails identically.
+			job.pubCall(name, nil, false, rec.err)
+			return nil, rec.err
+		default:
+			f = rec.f
+		}
+	}
+	g.noteResult(name, f)
+	job.pubCall(name, f, seedHit, nil)
+	return f, nil
 }

@@ -17,20 +17,15 @@
 //     new window, so equivalent behaviour always yields the same
 //     predicate text (and therefore the same alphabet symbol).
 //
-// Sequence additionally exploits the first observation for parallelism:
-// because repeated windows collapse onto few unique ones, it
-// deduplicates windows up front and fans only the unique windows out to
-// a bounded worker pool (see parallel.go), reassembling the sequence in
-// original order. The parallel path is bit-for-bit identical to the
-// serial one — same predicates, same interning (pointer equality), same
-// seed-pool evolution, same stats, same first error.
+// There is one windowing engine: SequenceSource slides over a
+// trace.Source in a single serial pass (stream.go). Sequence collects
+// its output for an in-memory trace.
 package predicate
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -67,21 +62,17 @@ type Options struct {
 	// NoMemo disables whole-window memoisation (for the ablation
 	// benches).
 	NoMemo bool
-	// Workers caps the number of concurrent synthesis workers
-	// Sequence fans unique windows out to. Zero selects
-	// runtime.GOMAXPROCS(0); 1 forces the serial path. Every worker
-	// count produces identical output (see parallel.go).
-	Workers int
 	// Cache attaches a cross-run synthesis cache (see
 	// internal/synthcache and cache.go): unique-window builds consult
 	// it before enumerating and publish after. Nil disables caching.
 	// Models are byte-identical with the cache cold, warm, shared,
 	// corrupted or disabled.
 	Cache *synthcache.Cache
-	// Context cancels in-flight synthesis (signal handling). Nil
-	// means never cancelled. Cancellation surfaces as an error from
-	// the Sequence/FromWindow call; it never produces a partial
-	// predicate.
+	// Context cancels a sequence between observations (checked every
+	// 256) and in-flight synthesis (signal handling). Nil means never
+	// cancelled. Cancellation surfaces as ctx.Err() from the
+	// Sequence/SequenceSource/FromWindow call; it never produces a
+	// partial predicate.
 	Context context.Context
 }
 
@@ -117,8 +108,8 @@ type Generator struct {
 	hSynthNS    *pipeline.Histogram
 
 	// Cross-run synthesis cache (cache.go); all three are immutable
-	// while a sequence runs, so the parallel paths read them without
-	// g.mu. Nil cache means every cache hook is a no-op.
+	// while a sequence runs. Nil cache means unique windows are
+	// synthesised directly.
 	cache       *synthcache.Cache
 	cachePrefix []byte
 	cacheTypes  map[string]expr.Type
@@ -202,22 +193,6 @@ func NewGenerator(schema *trace.Schema, opts Options) (*Generator, error) {
 // Window returns the observation window size in effect.
 func (g *Generator) Window() int { return g.w }
 
-// workers resolves the effective worker count for Sequence.
-func (g *Generator) workers() int {
-	if g.opts.Workers > 0 {
-		return g.opts.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetWorkers overrides the worker count (command-line -j flags on
-// pipelines reconstructed from a saved model).
-func (g *Generator) SetWorkers(n int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.opts.Workers = n
-}
-
 // SetContext attaches a cancellation context to subsequent synthesis
 // work (see Options.Context).
 func (g *Generator) SetContext(ctx context.Context) {
@@ -248,38 +223,19 @@ func (g *Generator) SetTelemetry(tel *pipeline.Telemetry, stage pipeline.SpanID)
 }
 
 // Sequence computes the predicate sequence P = p1 … pk for the trace,
-// k = n+1−w (Algorithm 1 lines 9–14). Returned predicates are
-// interned: equal keys are pointer-equal.
-//
-// With more than one worker configured (Options.Workers; the default
-// uses every core) the unique windows are synthesised concurrently;
-// the result — predicates, interning, seed pools, stats, and the first
-// error — is identical to the serial path.
+// k = n+1−w (Algorithm 1 lines 9–14): SequenceSource over the trace,
+// with the runs expanded. Returned predicates are interned: equal keys
+// are pointer-equal.
 func (g *Generator) Sequence(tr *trace.Trace) ([]*Predicate, error) {
-	if !tr.Schema().Equal(g.schema) {
-		return nil, errors.New("predicate: trace schema does not match generator schema")
-	}
-	n := tr.Len()
-	if n < g.w {
-		return nil, fmt.Errorf("predicate: trace length %d shorter than window %d", n, g.w)
-	}
-	if w := g.workers(); w > 1 && n+1-g.w > 1 {
-		return g.sequenceParallel(tr, w)
-	}
-	// Intern each observation once; window keys are then O(w) id
-	// copies instead of O(w·|schema|) string building per window.
-	ids := make([]trace.ObsID, n)
-	for i := 0; i < n; i++ {
-		ids[i] = g.obsIntern.Intern(tr.At(i))
-	}
-	out := make([]*Predicate, 0, n+1-g.w)
-	for i := 0; i+g.w <= n; i++ {
-		key := trace.MakeWindowKey(ids[i : i+g.w])
-		p, err := g.fromWindow(tr.Slice(i, i+g.w), key)
-		if err != nil {
-			return nil, fmt.Errorf("predicate: window at observation %d: %w", i, err)
+	out := make([]*Predicate, 0, max(tr.Len()+1-g.w, 0))
+	err := g.SequenceSource(trace.NewTraceSource(tr), func(r Run) error {
+		for i := 0; i < r.Count; i++ {
+			out = append(out, r.Pred)
 		}
-		out = append(out, p)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -294,47 +250,21 @@ func (g *Generator) FromWindow(win *trace.Trace) (*Predicate, error) {
 	for i := range ids {
 		ids[i] = g.obsIntern.Intern(win.At(i))
 	}
-	return g.fromWindow(win, trace.MakeWindowKey(ids))
+	return g.streamWindow(ids)
 }
 
-// fromWindow is FromWindow after key computation; key is ignored when
-// memoisation is off.
-func (g *Generator) fromWindow(win *trace.Trace, key trace.WindowKey) (*Predicate, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.stats.Windows++
-	g.cWindows.Add(1)
-	if !g.opts.NoMemo {
-		if p, ok := g.memo[key]; ok {
-			g.stats.MemoHits++
-			g.cMemoHits.Add(1)
-			return p, nil
-		}
-	}
-	g.stats.UniqueWindows++
-	e, err := g.buildUnique(win, "serial")
-	if err != nil {
-		return nil, err
-	}
-	p := g.intern(e)
-	if !g.opts.NoMemo {
-		g.memo[key] = p
-	}
-	return p, nil
-}
-
-// buildUnique runs the serial unique-window build with its telemetry:
-// the window-synthesis latency histogram and, when tracing, a unit span
+// buildUnique runs one unique-window build with its telemetry: the
+// window-synthesis latency histogram and, when tracing, a unit span
 // recording the build's synthesis-call and seed-hit deltas. With a
 // cross-run cache attached the build goes through the cache's
 // lookup/replay/publish path instead of direct synthesis (cache.go);
 // the result and the generator-state evolution are identical. Callers
 // hold g.mu and have already counted the window as unique.
-func (g *Generator) buildUnique(win *trace.Trace, mode string) (expr.Expr, error) {
+func (g *Generator) buildUnique(win *trace.Trace) (expr.Expr, error) {
 	tr := g.tel.Trace()
 	var id pipeline.SpanID
 	if tr.Enabled() {
-		id = tr.Start(g.stageSpan, "window", pipeline.Str("mode", mode))
+		id = tr.Start(g.stageSpan, "window")
 	}
 	before := g.stats
 	t0 := time.Now()
@@ -359,10 +289,9 @@ func (g *Generator) buildUnique(win *trace.Trace, mode string) (expr.Expr, error
 
 // nextFunc synthesises one variable's next function from a window's
 // examples. buildExpr is parameterised on it so the same control flow
-// drives the serial path (synthesizeNext), the speculative parallel
-// workers (seed-free recording) and the deterministic replay — the
-// three must agree on the sequence of synthesis calls, which this
-// sharing guarantees by construction.
+// drives direct synthesis (synthesizeNext) and the replay of a cached
+// record (replayNext) — the two must agree on the sequence of
+// synthesis calls, which this sharing guarantees by construction.
 type nextFunc func(name string, examples []synth.Example) (expr.Expr, error)
 
 // buildExpr constructs the window predicate as a conjunction in schema

@@ -1,6 +1,7 @@
 package predicate
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/expr"
@@ -286,5 +287,52 @@ func TestEventTraceWiderWindow(t *testing.T) {
 		if err := Verify(p, tr.Slice(i, i+3)); err != nil {
 			t.Errorf("window %d: %v", i, err)
 		}
+	}
+}
+
+// TestGeneratorConcurrentUse hammers one Generator from many
+// goroutines (run under -race in CI). Interleaved calls may observe
+// different seed orders, so the test checks safety and soundness, not
+// cross-call determinism: no data race, every sequence sound, and
+// interning consistent within each result.
+func TestGeneratorConcurrentUse(t *testing.T) {
+	vals := []int64{1, 2, 3, 4, 5, 4, 3, 2, 1, 2, 3, 4, 5, 4, 3, 2, 1}
+	tr := intTrace(t, vals...)
+	g, err := NewGenerator(tr.Schema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				ps, err := g.Sequence(tr)
+				if err != nil {
+					t.Errorf("Sequence: %v", err)
+					return
+				}
+				for j, p := range ps {
+					if err := Verify(p, tr.Slice(j, j+g.Window())); err != nil {
+						t.Errorf("window %d: %v", j, err)
+					}
+				}
+			} else {
+				for j := 0; j+g.Window() <= tr.Len(); j++ {
+					if _, err := g.FromWindow(tr.Slice(j, j+g.Window())); err != nil {
+						t.Errorf("FromWindow %d: %v", j, err)
+					}
+				}
+			}
+			_ = g.Stats()
+			_ = g.Alphabet()
+			_ = g.Seeds()
+		}(i)
+	}
+	wg.Wait()
+	want := tr.Len() + 1 - g.Window()
+	if got := g.Stats().Windows; got != 8*want {
+		t.Errorf("windows = %d, want %d", got, 8*want)
 	}
 }

@@ -3,25 +3,17 @@
 // predicate sequence as maximal runs of equal predicates, so the
 // resident state is O(w + unique windows) regardless of trace length.
 //
-// Determinism matches the batch paths exactly. Observations are
-// interned in stream order (the same first-occurrence order the batch
-// pass uses), the serial path takes the very same memo-or-build branch
-// per window, and the parallel path reuses the speculate/replay engine
-// of parallel.go: a dispatcher goroutine reads the source, interns,
-// and enqueues one ordered record per window — carrying a speculation
-// job the first time a non-memoised window content is seen — while the
-// consumer replays records in stream order against the authoritative
-// generator state. Replay order equals window order, so the seed-pool
-// evolution, interning, stats and first error are identical to both
-// the serial streaming path and the batch paths.
+// This serial pass is the only windower. Observations are interned in
+// stream order (through the source's own raw-record id cache when it
+// is a trace.IDSource), and each window takes the memo-or-build branch
+// against the generator state, so the output, the interning, the
+// seed-pool evolution, the stats and the first error are fixed by the
+// observation sequence alone.
 package predicate
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/trace"
 )
@@ -35,21 +27,56 @@ type Run struct {
 }
 
 // SequenceSource computes the predicate sequence of the observations
-// streamed by src, emitting it as maximal runs in order. It is the
-// streaming counterpart of Sequence: the same predicates in the same
-// order (run-length encoded), the same generator-state evolution, but
-// only O(w + unique windows) resident memory.
+// streamed by src, emitting it as maximal runs in order, with only
+// O(w + unique windows) resident memory. Sequence is this pass over an
+// in-memory trace.
 //
 // emit is called serially, in sequence order; an emit error aborts the
-// stream and is returned verbatim.
+// stream and is returned verbatim. With Options.Context set, the pass
+// checks it every 256 observations and returns its error once it is
+// done.
 func (g *Generator) SequenceSource(src trace.Source, emit func(Run) error) error {
 	if !src.Schema().Equal(g.schema) {
 		return errNoSchema
 	}
-	if w := g.workers(); w > 1 {
-		return g.sequenceSourceParallel(src, emit, w)
+	g.mu.Lock()
+	ctx := g.opts.Context
+	g.mu.Unlock()
+	em := &runEmitter{emit: emit}
+	ids := make([]trace.ObsID, 0, g.w)
+	seen := 0
+	nextID := g.nextIDFunc(src)
+	for {
+		if ctx != nil && seen&255 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		id, err := nextID()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		seen++
+		var full bool
+		ids, full = slide(ids, g.w, id)
+		if !full {
+			continue
+		}
+		p, err := g.streamWindow(ids)
+		if err != nil {
+			return fmt.Errorf("predicate: window at observation %d: %w", seen-g.w, err)
+		}
+		if err := em.add(p); err != nil {
+			return err
+		}
 	}
-	return g.sequenceSourceSerial(src, emit)
+	if seen < g.w {
+		return fmt.Errorf("predicate: trace length %d shorter than window %d", seen, g.w)
+	}
+	return em.flush()
 }
 
 var errNoSchema = fmt.Errorf("predicate: trace schema does not match generator schema")
@@ -122,371 +149,30 @@ func (g *Generator) nextIDFunc(src trace.Source) func() (trace.ObsID, error) {
 	}
 }
 
-// sequenceSourceSerial is the one-worker streaming path.
-func (g *Generator) sequenceSourceSerial(src trace.Source, emit func(Run) error) error {
-	em := &runEmitter{emit: emit}
-	ids := make([]trace.ObsID, 0, g.w)
-	seen := 0
-	nextID := g.nextIDFunc(src)
-	for {
-		id, err := nextID()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		seen++
-		var full bool
-		ids, full = slide(ids, g.w, id)
-		if !full {
-			continue
-		}
-		p, err := g.streamWindow(ids)
-		if err != nil {
-			return fmt.Errorf("predicate: window at observation %d: %w", seen-g.w, err)
-		}
-		if err := em.add(p); err != nil {
-			return err
-		}
-	}
-	if seen < g.w {
-		return fmt.Errorf("predicate: trace length %d shorter than window %d", seen, g.w)
-	}
-	return em.flush()
-}
-
-// streamWindow resolves one window given its interned ids: memo hit or
-// materialise-and-build, with the same accounting as fromWindow.
+// streamWindow resolves one window given its interned ids: a memo hit,
+// or materialise, build, intern and memoise. The memo key is ignored
+// when memoisation is off.
 func (g *Generator) streamWindow(ids []trace.ObsID) (*Predicate, error) {
 	key := trace.MakeWindowKey(ids)
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	g.stats.Windows++
 	g.cWindows.Add(1)
 	if !g.opts.NoMemo {
 		if p, ok := g.memo[key]; ok {
 			g.stats.MemoHits++
 			g.cMemoHits.Add(1)
-			g.mu.Unlock()
 			return p, nil
 		}
 	}
 	g.stats.UniqueWindows++
-	win := g.materialize(ids)
-	e, err := g.buildUnique(win, "stream")
+	e, err := g.buildUnique(g.materialize(ids))
 	if err != nil {
-		g.mu.Unlock()
 		return nil, err
 	}
 	p := g.intern(e)
 	if !g.opts.NoMemo {
 		g.memo[key] = p
 	}
-	g.mu.Unlock()
 	return p, nil
-}
-
-// streamRec is one window of the parallel streaming path, in stream
-// order: its key, and the speculation job covering its content when the
-// dispatcher saw that content for the first time outside the memo (nil
-// for windows whose content was memoised before the stream started or
-// whose job travels with an earlier record).
-type streamRec struct {
-	key trace.WindowKey
-	job *specJob
-	idx int // window index, for error positions
-}
-
-// sequenceSourceParallel overlaps source decoding and speculative
-// synthesis with in-order replay. The dispatcher is the only goroutine
-// touching src; workers are the only goroutines running the expensive
-// enumeration; the consumer (the calling goroutine) is the only one
-// mutating authoritative generator state.
-func (g *Generator) sequenceSourceParallel(src trace.Source, emit func(Run) error, workers int) error {
-	ctx, cancel := context.WithCancel(context.Background())
-
-	depth := 4 * workers
-	if depth < 64 {
-		depth = 64
-	}
-	recCh := make(chan streamRec, depth)
-	jobCh := make(chan *specJob, depth)
-
-	// Defers run LIFO: cancel first, so blocked dispatcher sends and
-	// in-flight workers unwind before Wait — no goroutine outlives the
-	// call even on an early (emit-error) return.
-	var ww sync.WaitGroup
-	defer ww.Wait()
-	defer cancel()
-
-	// Dispatcher: read, intern, slide, dedupe, enqueue in order. The
-	// intern step picks the fastest available ingest strategy — sharded
-	// block decoding when the source supports it, the raw-record id
-	// cache when it self-interns, plain decode-then-intern otherwise —
-	// all of which assign identical ids in identical order, so the
-	// window stream below is strategy-independent.
-	var srcErr error
-	var seen atomic.Int64
-	go func() {
-		defer close(recCh)
-		defer close(jobCh)
-		jobByKey := map[trace.WindowKey]*specJob{}
-		ids := make([]trace.ObsID, 0, g.w)
-		idx := 0
-		feed := func(id trace.ObsID) bool {
-			seen.Add(1)
-			var full bool
-			ids, full = slide(ids, g.w, id)
-			if !full {
-				return true
-			}
-			key := trace.MakeWindowKey(ids)
-			rec := streamRec{key: key, idx: idx}
-			idx++
-			if _, ok := jobByKey[key]; !ok {
-				memoised := false
-				if !g.opts.NoMemo {
-					g.mu.Lock()
-					_, memoised = g.memo[key]
-					g.mu.Unlock()
-				}
-				if !memoised {
-					// The memo only grows, so a miss here is still a
-					// miss at replay time unless an earlier record of
-					// the same content fills it — and that record
-					// carries this very job.
-					job := &specJob{win: g.materialize(ids), done: make(chan struct{})}
-					jobByKey[key] = job
-					rec.job = job
-					select {
-					case jobCh <- job:
-					case <-ctx.Done():
-						return false
-					}
-				}
-			}
-			select {
-			case recCh <- rec:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		if bs, ok := src.(trace.BlockSource); ok {
-			if next, ok := bs.Blocks(shardBlockSize); ok {
-				srcErr = g.shardStream(ctx, bs, next, workers, feed)
-				return
-			}
-		}
-		nextID := g.nextIDFunc(src)
-		for {
-			id, err := nextID()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				srcErr = err
-				return
-			}
-			if !feed(id) {
-				return
-			}
-		}
-	}()
-
-	// Workers: speculate on unique windows as they are discovered.
-	for i := 0; i < workers; i++ {
-		ww.Add(1)
-		go func() {
-			defer ww.Done()
-			for job := range jobCh {
-				if ctx.Err() != nil {
-					// Drain without working so the dispatcher's sends
-					// never block forever during cancellation.
-					close(job.done)
-					continue
-				}
-				if !g.cacheLookup(job) {
-					g.speculate(ctx, job)
-				}
-				close(job.done)
-			}
-		}()
-	}
-
-	// Consumer: replay in stream order against authoritative state.
-	em := &runEmitter{emit: emit}
-	jobByKey := map[trace.WindowKey]*specJob{}
-	for rec := range recCh {
-		if rec.job != nil {
-			jobByKey[rec.key] = rec.job
-		}
-		g.mu.Lock()
-		g.stats.Windows++
-		g.cWindows.Add(1)
-		if !g.opts.NoMemo {
-			if p, ok := g.memo[rec.key]; ok {
-				g.stats.MemoHits++
-				g.cMemoHits.Add(1)
-				g.mu.Unlock()
-				if err := em.add(p); err != nil {
-					return err
-				}
-				continue
-			}
-		}
-		g.mu.Unlock()
-
-		job := jobByKey[rec.key]
-		<-job.done
-
-		g.mu.Lock()
-		g.stats.UniqueWindows++
-		p, err := g.replayTraced(job)
-		if err == nil && !g.opts.NoMemo {
-			g.memo[rec.key] = p
-		}
-		g.mu.Unlock()
-		if err != nil {
-			cancel()
-			return fmt.Errorf("predicate: window at observation %d: %w", rec.idx, err)
-		}
-		g.cachePublish(job)
-		if err := em.add(p); err != nil {
-			return err
-		}
-	}
-	if srcErr != nil {
-		return srcErr
-	}
-	if n := int(seen.Load()); n < g.w {
-		return fmt.Errorf("predicate: trace length %d shorter than window %d", n, g.w)
-	}
-	return em.flush()
-}
-
-// shardBlockSize is the target byte size of one ingest shard. Large
-// enough that per-block overhead (channel hops, one remap extension)
-// vanishes; small enough that a handful of blocks are always in
-// flight per worker.
-const shardBlockSize = 1 << 20
-
-// shardOut is one decoded block: the block's observations as
-// worker-local interned ids, plus the canonical entries the block
-// newly introduced to its worker's local table (the merger re-interns
-// exactly these, in block order, into the global table).
-type shardOut struct {
-	ids []trace.ObsID
-	seg []trace.Observation
-	err error
-}
-
-// shardStream decodes record-aligned blocks on parallel workers with
-// private interners and merges the results in block hand-out order.
-//
-// Determinism: the merged global id assignment is byte-identical to
-// single-stream interning. Blocks concatenated in hand-out order equal
-// the input, and the merger walks them in that order, interning each
-// block's newly-seen canonical entries first. An observation's
-// globally-first occurrence lies in some block b; within b's worker
-// that occurrence is also the local first sight (earlier local sights
-// would be in earlier blocks of the same worker, merged before b), so
-// it appears in b's canon segment in first-occurrence order — the
-// global table therefore grows in exactly single-stream first-sight
-// order, and per-record ids follow via the local→global remap.
-//
-// feed receives the global ids in record order; a false return stops
-// the stream (downstream cancellation). The returned error is the
-// source/decode error in block order, after all earlier records fed.
-func (g *Generator) shardStream(ctx context.Context, src trace.BlockSource, next func() ([]byte, error), workers int, feed func(trace.ObsID) bool) error {
-	ctx, cancel := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	defer cancel()
-
-	ins := make([]chan []byte, workers)
-	outs := make([]chan shardOut, workers)
-	for w := 0; w < workers; w++ {
-		ins[w] = make(chan []byte, 2)
-		outs[w] = make(chan shardOut, 2)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer close(outs[w])
-			dec := src.NewBlockDecoder()
-			local := trace.NewInterner()
-			for block := range ins[w] {
-				prev := local.Len()
-				var ids []trace.ObsID
-				err := dec.Decode(block, func(obs trace.Observation) error {
-					ids = append(ids, local.Intern(obs))
-					return nil
-				})
-				out := shardOut{ids: ids, seg: local.CanonSince(prev), err: err}
-				select {
-				case outs[w] <- out:
-				case <-ctx.Done():
-					return
-				}
-				if err != nil {
-					return
-				}
-			}
-		}(w)
-	}
-
-	// Feeder: hand out blocks round-robin so per-worker block order is
-	// globally known (the merger walks workers in the same rotation).
-	srcErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			for _, ch := range ins {
-				close(ch)
-			}
-		}()
-		for w := 0; ; w = (w + 1) % workers {
-			block, err := next()
-			if err == io.EOF {
-				srcErr <- nil
-				return
-			}
-			if err != nil {
-				srcErr <- err
-				return
-			}
-			select {
-			case ins[w] <- block:
-			case <-ctx.Done():
-				srcErr <- ctx.Err()
-				return
-			}
-		}
-	}()
-
-	// Merger: walk blocks in hand-out order, grow per-worker remap
-	// tables, feed global ids downstream.
-	remaps := make([][]trace.ObsID, workers)
-	for w := 0; ; w = (w + 1) % workers {
-		out, ok := <-outs[w]
-		if !ok {
-			// The rotation hit the worker after the final block: all
-			// blocks are merged. Surface the source error, if any.
-			return <-srcErr
-		}
-		remap := remaps[w]
-		for _, obs := range out.seg {
-			remap = append(remap, g.obsIntern.Intern(obs))
-		}
-		remaps[w] = remap
-		for _, lid := range out.ids {
-			if !feed(remap[lid]) {
-				return nil
-			}
-		}
-		if out.err != nil {
-			return out.err
-		}
-	}
 }

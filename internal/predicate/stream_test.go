@@ -1,25 +1,15 @@
 package predicate
 
 import (
-	"bytes"
+	"context"
 	"errors"
-	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/synth"
 	"repro/internal/trace"
 )
-
-// expand flattens a run stream back into the per-window sequence.
-func expand(runs []Run) []*Predicate {
-	var out []*Predicate
-	for _, r := range runs {
-		for i := 0; i < r.Count; i++ {
-			out = append(out, r.Pred)
-		}
-	}
-	return out
-}
 
 // mixedTrace is a small trace exercising memo hits, seed reuse and the
 // wrap fallback: a mod-4 counter with an event variable.
@@ -40,178 +30,107 @@ func mixedTrace(t *testing.T, n int) *trace.Trace {
 	return tr
 }
 
-func TestSequenceSourceMatchesBatch(t *testing.T) {
+// TestSequenceSourceRuns: the emitted runs are maximal (no two
+// adjacent runs share a predicate), cover every window exactly once in
+// order, and each window's predicate holds on that window.
+func TestSequenceSourceRuns(t *testing.T) {
 	tr := mixedTrace(t, 64)
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			gBatch, err := NewGenerator(tr.Schema(), Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
+	g, err := NewGenerator(tr.Schema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []Run
+	if err := g.SequenceSource(trace.NewTraceSource(tr), func(r Run) error {
+		runs = append(runs, r)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for k, r := range runs {
+		if k > 0 && r.Pred == runs[k-1].Pred {
+			t.Fatalf("runs %d and %d share predicate %q", k-1, k, r.Pred.Key)
+		}
+		for j := 0; j < r.Count; j++ {
+			if err := Verify(r.Pred, tr.Slice(i, i+g.Window())); err != nil {
+				t.Fatalf("window %d: %v", i, err)
 			}
-			batch, err := gBatch.Sequence(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			gStream, err := NewGenerator(tr.Schema(), Options{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var runs []Run
-			if err := gStream.SequenceSource(trace.NewTraceSource(tr), func(r Run) error {
-				runs = append(runs, r)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			stream := expand(runs)
-
-			if len(stream) != len(batch) {
-				t.Fatalf("stream yields %d windows, batch %d", len(stream), len(batch))
-			}
-			for i := range batch {
-				if stream[i].Key != batch[i].Key {
-					t.Fatalf("window %d: stream %q, batch %q", i, stream[i].Key, batch[i].Key)
-				}
-			}
-			// Runs must be maximal: no adjacent equal predicates.
-			for i := 1; i < len(runs); i++ {
-				if runs[i].Pred == runs[i-1].Pred {
-					t.Fatalf("runs %d and %d share predicate %q", i-1, i, runs[i].Pred.Key)
-				}
-			}
-			// Work accounting matches the batch path exactly.
-			if bs, ss := gBatch.Stats(), gStream.Stats(); bs != ss {
-				t.Fatalf("stats diverge: batch %+v, stream %+v", bs, ss)
-			}
-		})
+			i++
+		}
+	}
+	if want := tr.Len() + 1 - g.Window(); i != want {
+		t.Fatalf("runs cover %d windows, want %d", i, want)
 	}
 }
 
 func TestSequenceSourceShortTrace(t *testing.T) {
 	tr := mixedTrace(t, 2)
-	for _, workers := range []int{1, 4} {
-		g, err := NewGenerator(tr.Schema(), Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = g.SequenceSource(trace.NewTraceSource(tr), func(Run) error { return nil })
-		if err == nil {
-			t.Fatalf("workers=%d: no error for trace shorter than window", workers)
-		}
+	g, err := NewGenerator(tr.Schema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = g.SequenceSource(trace.NewTraceSource(tr), func(Run) error { return nil })
+	if err == nil {
+		t.Fatal("no error for trace shorter than window")
 	}
 }
 
 func TestSequenceSourceEmitError(t *testing.T) {
 	tr := mixedTrace(t, 32)
 	sentinel := errors.New("stop")
-	for _, workers := range []int{1, 4} {
-		g, err := NewGenerator(tr.Schema(), Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = g.SequenceSource(trace.NewTraceSource(tr), func(Run) error { return sentinel })
-		if !errors.Is(err, sentinel) {
-			t.Fatalf("workers=%d: got %v, want sentinel emit error", workers, err)
-		}
-	}
-}
-
-// bigCSV builds a quote-free counter CSV large enough to span several
-// ingest shards (shardBlockSize-sized blocks), with an optional
-// malformed record injected at row badAt (-1 for none).
-func bigCSV(rows, badAt int) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("count:int,event:sym\n")
-	for i := 0; i < rows; i++ {
-		if i == badAt {
-			buf.WriteString("notanint,ev\n")
-			continue
-		}
-		ev := "tick"
-		if i%5 == 4 {
-			ev = "wrap"
-		}
-		fmt.Fprintf(&buf, "%d,%s\n", i%5, ev)
-	}
-	return buf.Bytes()
-}
-
-// TestShardedIngestMatchesSerial drives a multi-megabyte zero-copy CSV
-// through SequenceSource at several worker counts. Workers > 1 on a
-// quote-free byte-backed source takes the sharded block-decode path
-// (private per-worker interners, deterministic merge); the emitted run
-// sequence must be byte-identical to the serial path's.
-func TestShardedIngestMatchesSerial(t *testing.T) {
-	data := bigCSV(320_000, -1) // ~2.5 MiB: several shardBlockSize blocks
-	if len(data) < 2*shardBlockSize {
-		t.Fatalf("trace only %d bytes, want > %d to span shards", len(data), 2*shardBlockSize)
-	}
-	// Confirm the shard precondition holds, so workers>1 below really
-	// exercises shardStream rather than silently falling back.
-	probe, err := trace.NewCSVSource(trace.NewBytes(data))
+	g, err := NewGenerator(tr.Schema(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := probe.Blocks(shardBlockSize); !ok {
-		t.Fatal("Blocks refused the shard-eligible trace")
-	}
-
-	collect := func(workers int) []Run {
-		src, err := trace.NewCSVSource(trace.NewBytes(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := NewGenerator(src.Schema(), Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var runs []Run
-		if err := g.SequenceSource(src, func(r Run) error {
-			runs = append(runs, r)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return runs
-	}
-
-	want := collect(1)
-	if len(want) == 0 {
-		t.Fatal("serial path emitted no runs")
-	}
-	for _, workers := range []int{2, 4} {
-		got := collect(workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d runs, want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Pred.Key != want[i].Pred.Key || got[i].Count != want[i].Count {
-				t.Fatalf("workers=%d: run %d = {%q, %d}, want {%q, %d}",
-					workers, i, got[i].Pred.Key, got[i].Count, want[i].Pred.Key, want[i].Count)
-			}
-		}
+	err = g.SequenceSource(trace.NewTraceSource(tr), func(Run) error { return sentinel })
+	if !errors.Is(err, sentinel) {
+		t.Fatalf("got %v, want sentinel emit error", err)
 	}
 }
 
-// TestShardedIngestDecodeError: a malformed record deep in the trace
-// must surface as an error at every worker count — including through
-// the sharded block path, where the failing block is decoded on some
-// worker but the error is reported in block order.
-func TestShardedIngestDecodeError(t *testing.T) {
-	data := bigCSV(320_000, 250_000)
-	for _, workers := range []int{1, 4} {
-		src, err := trace.NewCSVSource(trace.NewBytes(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := NewGenerator(src.Schema(), Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = g.SequenceSource(src, func(Run) error { return nil })
-		if err == nil {
-			t.Fatalf("workers=%d: malformed record decoded without error", workers)
-		}
+// TestSequenceSourceErrorIndex: a window whose synthesis fails must
+// surface as an error naming the observation the window starts at,
+// wrapping the synthesizer's error.
+func TestSequenceSourceErrorIndex(t *testing.T) {
+	// With MaxSize 2 the window [5,9,13] needs x + 4 (size 3) and
+	// fails with ErrNoSolution; the preceding [5,5,9] window is
+	// inconsistent and falls back to the explicit relation without
+	// error. The first failing window starts at observation 4.
+	tr := intTrace(t, 5, 5, 5, 5, 5, 9, 13)
+	g, err := NewGenerator(tr.Schema(), Options{Synth: synth.Options{MaxSize: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = g.SequenceSource(trace.NewTraceSource(tr), func(Run) error { return nil })
+	if err == nil {
+		t.Fatal("sequence unexpectedly succeeded")
+	}
+	if want := "predicate: window at observation 4: "; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q does not start with %q", err, want)
+	}
+	if !errors.Is(err, synth.ErrNoSolution) {
+		t.Errorf("error %v does not wrap synth.ErrNoSolution", err)
+	}
+}
+
+// TestSequenceSourceContext: a cancelled Options.Context stops the pass
+// between observations with the context's error, before the next
+// window is built.
+func TestSequenceSourceContext(t *testing.T) {
+	tr := mixedTrace(t, 1000)
+	ctx, cancel := context.WithCancel(context.Background())
+	g, err := NewGenerator(tr.Schema(), Options{Context: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = g.SequenceSource(trace.NewTraceSource(tr), func(Run) error {
+		cancel()
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if w := g.Stats().Windows; w >= tr.Len()+1-g.Window() {
+		t.Errorf("cancelled pass still built all %d windows", w)
 	}
 }

@@ -26,8 +26,7 @@
 // every search allocates its own enumerator — so Enumerate and
 // Synthesize are safe to call from multiple goroutines concurrently,
 // provided the caller does not mutate the examples or option slices
-// while a call is in flight. The parallel predicate engine
-// (internal/predicate) relies on this.
+// while a call is in flight.
 package synth
 
 import (
@@ -178,14 +177,16 @@ func Enumerate(vars []Var, examples []Example, opts Options) (expr.Expr, error) 
 // CheckExamples rejects example sets no function can fit: two examples
 // with the same input valuation but different outputs. Synthesize runs
 // it before its seed pass, so callers replaying the seed pass (the
-// parallel predicate engine) can reproduce the error order exactly.
+// synthesis-cache replay in internal/predicate) can reproduce the error
+// order exactly.
 func CheckExamples(examples []Example) error {
 	return checkConsistent(examples)
 }
 
 // ConsistentWith reports whether the expression matches every example
-// — the predicate the seed pass uses. Exposed so the parallel
-// predicate engine can replay seed decisions deterministically.
+// — the predicate the seed pass uses. Exposed so the synthesis-cache
+// replay in internal/predicate can replay seed decisions
+// deterministically.
 func ConsistentWith(e expr.Expr, examples []Example) bool {
 	return consistent(e, examples)
 }

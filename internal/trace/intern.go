@@ -112,8 +112,9 @@ func (in *Interner) Canon() []Observation {
 // to read even while the interner keeps growing, because later Intern
 // calls only append past the captured length (if the append relocates
 // the table, the captured slice keeps the old backing array; the
-// entries themselves are never mutated). The sharded ingest path uses
-// this to ship each block's newly-seen observations to the merger.
+// entries themselves are never mutated). A sharded decode (see
+// BlockSource) uses this to ship each block's newly-seen observations
+// to its merger.
 func (in *Interner) CanonSince(n int) []Observation {
 	in.mu.Lock()
 	defer in.mu.Unlock()

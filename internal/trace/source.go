@@ -53,10 +53,11 @@ type IDSource interface {
 
 // BlockSource is a Source whose remaining input can be handed out as
 // contiguous, record-aligned byte blocks for parallel shard decoding
-// (the streaming windower's sharded ingest path). Blocks are borrowed
-// from the underlying buffer and decoded by per-worker BlockDecoders;
-// concatenating the blocks in hand-out order reproduces the remaining
-// input exactly, which is what makes the sharded merge deterministic.
+// (perfbench's decode-only pass uses it; the windower reads records
+// one at a time). Blocks are borrowed from the underlying buffer and
+// decoded by per-worker BlockDecoders; concatenating the blocks in
+// hand-out order reproduces the remaining input exactly, which is
+// what makes a sharded merge deterministic.
 type BlockSource interface {
 	Source
 	// Blocks returns a block iterator (each call yields the next block,
@@ -255,8 +256,8 @@ func parseBoolBytes(b []byte) (bool, bool) {
 // csvRow decodes one CSV record at a time: field splitting on borrowed
 // byte slices, integer/boolean parsing without intermediate strings,
 // and a symbol cache so repeated symbolic values share one string.
-// One csvRow backs the CSVSource; independent copies back the shard
-// decoders of the parallel ingest path.
+// One csvRow backs the CSVSource; independent copies back its block
+// decoders.
 type csvRow struct {
 	vars     []VarDef
 	obs      Observation // reused between records

@@ -175,11 +175,11 @@ type LearnOptions struct {
 	// the serial path. The learned model is identical for every
 	// Portfolio and Workers setting.
 	Portfolio int
-	// Workers bounds the predicate-synthesis worker pool and the
-	// solver portfolio's concurrency. Zero means one worker per
-	// available CPU; 1 forces the serial paths. The result is
-	// bit-for-bit identical either way (see predicate.Options.Workers
-	// and learn.Options.Workers).
+	// Workers bounds how many portfolio members solve concurrently;
+	// it has no effect without Portfolio > 1. Zero means one per
+	// available CPU. Predicate abstraction is always one serial pass.
+	// The result is bit-for-bit identical either way (see
+	// learn.Options.Workers).
 	Workers int
 	// Synth tunes the predicate synthesizer.
 	Synth synth.Options
@@ -351,10 +351,9 @@ func NewPipeline(schema *Schema, opts LearnOptions) (*Pipeline, error) {
 	}
 	return core.NewPipeline(schema, core.Options{
 		Predicate: predicate.Options{
-			Window:  opts.PredicateWindow,
-			Workers: opts.Workers,
-			Synth:   opts.Synth,
-			Cache:   opts.SynthCache,
+			Window: opts.PredicateWindow,
+			Synth:  opts.Synth,
+			Cache:  opts.SynthCache,
 		},
 		Learn: learn.Options{
 			Window:             opts.SegmentWindow,

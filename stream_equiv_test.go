@@ -42,8 +42,9 @@ func openExampleSource(t *testing.T, path string) (repro.Source, func()) {
 // TestStreamingMatchesBatchGolden is the ISSUE's equivalence
 // criterion: for every example trace, learning from the streaming
 // source must produce an automaton byte-identical to the batch path's
-// (same String() rendering: states, transitions, start state), at
-// worker counts 1 and 4. The batch side reuses the golden corpus so a
+// (same String() rendering: states, transitions, start state), with
+// the serial solver (workers=1) and with a four-member portfolio on
+// four workers. The batch side reuses the golden corpus so a
 // divergence pinpoints which path moved.
 func TestStreamingMatchesBatchGolden(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("examples", "traces", "*"))
@@ -58,6 +59,9 @@ func TestStreamingMatchesBatchGolden(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
 				opts := repro.LearnOptions{Workers: workers}
+				if workers > 1 {
+					opts.Portfolio = workers
+				}
 
 				tr := readExampleTrace(t, path)
 				batch, err := repro.Learn(tr, opts)

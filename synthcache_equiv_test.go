@@ -3,7 +3,6 @@ package repro_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -99,28 +98,28 @@ func counterInput(t *testing.T) *repro.Trace {
 // TestSynthCacheFileSetModeInvariant: the set of entries a run
 // publishes — file names (content digests) and file contents (outcome
 // records) — is a function of the input alone, not of the execution
-// mode. Batch and streaming, workers 1 and 4, and a crash +
-// checkpoint-resume run must each fill a fresh cache directory with
-// byte-identical files, because digests hash window content (not
-// interner ids) and records store seed-independent outcomes.
+// mode. In-memory and streaming runs, and a crash + checkpoint-resume
+// run, must each fill a fresh cache directory with byte-identical
+// files, because digests hash window content (not interner ids) and
+// records store seed-independent outcomes.
 func TestSynthCacheFileSetModeInvariant(t *testing.T) {
 	tr := counterInput(t)
-	want := modelBytes(t, tr, repro.LearnOptions{Workers: 1})
+	want := modelBytes(t, tr, repro.LearnOptions{})
 
 	refDir := t.TempDir()
-	if got := modelBytes(t, tr, repro.LearnOptions{Workers: 1, SynthCache: openCache(t, refDir)}); !bytes.Equal(got, want) {
-		t.Fatal("batch-w1 cached model diverged from the uncached model")
+	if got := modelBytes(t, tr, repro.LearnOptions{SynthCache: openCache(t, refDir)}); !bytes.Equal(got, want) {
+		t.Fatal("in-memory cached model diverged from the uncached model")
 	}
 	refFiles := cacheFiles(t, refDir)
 	if len(refFiles) == 0 {
-		t.Fatal("batch-w1 run stored no cache entries")
+		t.Fatal("in-memory run stored no cache entries")
 	}
 
 	check := func(name, dir string) {
 		t.Helper()
 		files := cacheFiles(t, dir)
 		if len(files) != len(refFiles) {
-			t.Errorf("%s stored %d entries, batch-w1 stored %d", name, len(files), len(refFiles))
+			t.Errorf("%s stored %d entries, the in-memory run stored %d", name, len(files), len(refFiles))
 		}
 		for rel, raw := range refFiles {
 			got, ok := files[rel]
@@ -129,38 +128,30 @@ func TestSynthCacheFileSetModeInvariant(t *testing.T) {
 				continue
 			}
 			if !bytes.Equal(got, raw) {
-				t.Errorf("%s entry %s differs from batch-w1's", name, rel)
+				t.Errorf("%s entry %s differs from the in-memory run's", name, rel)
 			}
 		}
 	}
 
-	// Batch at 4 workers, streaming at 1 and 4.
 	dir := t.TempDir()
-	if got := modelBytes(t, tr, repro.LearnOptions{Workers: 4, SynthCache: openCache(t, dir)}); !bytes.Equal(got, want) {
-		t.Error("batch-w4 cached model diverged")
+	m, err := repro.LearnSource(repro.NewTraceSource(tr), repro.LearnOptions{SynthCache: openCache(t, dir)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	check("batch-w4", dir)
-	for _, workers := range []int{1, 4} {
-		dir := t.TempDir()
-		m, err := repro.LearnSource(repro.NewTraceSource(tr), repro.LearnOptions{Workers: workers, SynthCache: openCache(t, dir)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := repro.SaveModel(&buf, m); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("stream-w%d cached model diverged", workers)
-		}
-		check(fmt.Sprintf("stream-w%d", workers), dir)
+	var buf bytes.Buffer
+	if err := repro.SaveModel(&buf, m); err != nil {
+		t.Fatal(err)
 	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Error("stream cached model diverged")
+	}
+	check("stream", dir)
 
 	// Crash mid-ingestion, resume from the checkpoint: the two partial
 	// runs together must fill the directory exactly like one whole run.
 	dir = t.TempDir()
 	ckpt := t.TempDir()
-	opts := repro.LearnOptions{Workers: 4, CheckpointDir: ckpt, CheckpointEvery: 4, SynthCache: openCache(t, dir)}
+	opts := repro.LearnOptions{CheckpointDir: ckpt, CheckpointEvery: 4, SynthCache: openCache(t, dir)}
 	cut := tr.Len() / 2
 	if _, err := repro.LearnSource(&cutSource{src: repro.NewTraceSource(tr), limit: cut}, opts); !errors.Is(err, errKilled) {
 		t.Fatalf("cut at %d: err = %v, want the injected crash", cut, err)
@@ -171,7 +162,7 @@ func TestSynthCacheFileSetModeInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	var buf bytes.Buffer
+	buf.Reset()
 	if err := repro.SaveModel(&buf, resumed); err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +181,11 @@ func TestSynthCacheGoldenEquivalence(t *testing.T) {
 	for _, in := range diffInputs(t) {
 		in := in
 		t.Run(in.name, func(t *testing.T) {
-			want := modelBytes(t, in.tr, repro.LearnOptions{Workers: 4})
+			want := modelBytes(t, in.tr, repro.LearnOptions{})
 			dir := t.TempDir()
 
 			cold := openCache(t, dir)
-			if got := modelBytes(t, in.tr, repro.LearnOptions{Workers: 4, SynthCache: cold}); !bytes.Equal(got, want) {
+			if got := modelBytes(t, in.tr, repro.LearnOptions{SynthCache: cold}); !bytes.Equal(got, want) {
 				t.Error("cold-cache model diverged from the uncached model")
 			}
 			if st := cold.Stats(); st.Stores == 0 {
@@ -202,7 +193,7 @@ func TestSynthCacheGoldenEquivalence(t *testing.T) {
 			}
 
 			warm := openCache(t, dir)
-			if got := modelBytes(t, in.tr, repro.LearnOptions{Workers: 4, SynthCache: warm}); !bytes.Equal(got, want) {
+			if got := modelBytes(t, in.tr, repro.LearnOptions{SynthCache: warm}); !bytes.Equal(got, want) {
 				t.Error("warm-cache model diverged from the uncached model")
 			}
 			if st := warm.Stats(); st.Hits == 0 || st.Misses != 0 || st.Corrupt != 0 {
@@ -220,7 +211,7 @@ func TestSynthCacheGoldenEquivalence(t *testing.T) {
 // must hit on every unique window.
 func TestSynthCacheSharedConcurrent(t *testing.T) {
 	tr := counterInput(t)
-	want := modelBytes(t, tr, repro.LearnOptions{Workers: 4})
+	want := modelBytes(t, tr, repro.LearnOptions{})
 	dir := t.TempDir()
 
 	const runs = 4
@@ -236,7 +227,7 @@ func TestSynthCacheSharedConcurrent(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			m, err := repro.Learn(tr, repro.LearnOptions{Workers: 4, SynthCache: c})
+			m, err := repro.Learn(tr, repro.LearnOptions{SynthCache: c})
 			if err != nil {
 				errs[i] = err
 				return
@@ -264,7 +255,7 @@ func TestSynthCacheSharedConcurrent(t *testing.T) {
 	}
 
 	follow := openCache(t, dir)
-	if got := modelBytes(t, tr, repro.LearnOptions{Workers: 4, SynthCache: follow}); !bytes.Equal(got, want) {
+	if got := modelBytes(t, tr, repro.LearnOptions{SynthCache: follow}); !bytes.Equal(got, want) {
 		t.Error("follow-up model diverged")
 	}
 	if st := follow.Stats(); st.Hits == 0 || st.Misses != 0 {
@@ -278,15 +269,15 @@ func TestSynthCacheSharedConcurrent(t *testing.T) {
 // entries must leave the directory fully warm again.
 func TestSynthCacheCorruptionFallsBack(t *testing.T) {
 	tr := counterInput(t)
-	want := modelBytes(t, tr, repro.LearnOptions{Workers: 4})
+	want := modelBytes(t, tr, repro.LearnOptions{})
 	dir := t.TempDir()
-	if got := modelBytes(t, tr, repro.LearnOptions{Workers: 4, SynthCache: openCache(t, dir)}); !bytes.Equal(got, want) {
+	if got := modelBytes(t, tr, repro.LearnOptions{SynthCache: openCache(t, dir)}); !bytes.Equal(got, want) {
 		t.Fatal("cold-cache model diverged")
 	}
 	damaged := corruptEntries(t, dir)
 
 	hurt := openCache(t, dir)
-	if got := modelBytes(t, tr, repro.LearnOptions{Workers: 4, SynthCache: hurt}); !bytes.Equal(got, want) {
+	if got := modelBytes(t, tr, repro.LearnOptions{SynthCache: hurt}); !bytes.Equal(got, want) {
 		t.Error("corrupted-cache model diverged from the uncached model")
 	}
 	st := hurt.Stats()
@@ -298,7 +289,7 @@ func TestSynthCacheCorruptionFallsBack(t *testing.T) {
 	}
 
 	healed := openCache(t, dir)
-	if got := modelBytes(t, tr, repro.LearnOptions{Workers: 4, SynthCache: healed}); !bytes.Equal(got, want) {
+	if got := modelBytes(t, tr, repro.LearnOptions{SynthCache: healed}); !bytes.Equal(got, want) {
 		t.Error("post-repair model diverged")
 	}
 	if st := healed.Stats(); st.Misses != 0 || st.Corrupt != 0 {

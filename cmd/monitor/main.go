@@ -570,11 +570,7 @@ func readTrace(in, informat, task string) (*trace.Trace, error) {
 	case "events":
 		return trace.ReadEvents(f)
 	case "ftrace":
-		evs, err := trace.ParseFtrace(f)
-		if err != nil {
-			return nil, err
-		}
-		return trace.FtraceToTrace(evs, task, nil), nil
+		return trace.Collect(trace.NewFtraceSource(f, task, nil))
 	default:
 		return nil, fmt.Errorf("unknown input format %q", informat)
 	}

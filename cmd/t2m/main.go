@@ -439,11 +439,7 @@ func readTrace(in, informat, task, signals string) (*trace.Trace, error) {
 	case "events":
 		return trace.ReadEvents(f)
 	case "ftrace":
-		evs, err := trace.ParseFtrace(f)
-		if err != nil {
-			return nil, err
-		}
-		return trace.FtraceToTrace(evs, task, nil), nil
+		return trace.Collect(trace.NewFtraceSource(f, task, nil))
 	case "vcd":
 		var names []string
 		if signals != "" {

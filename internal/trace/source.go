@@ -761,72 +761,3 @@ func (s *EventsSource) NextID(in *Interner) (ObsID, error) {
 	}
 	return id, nil
 }
-
-// --- ftrace --------------------------------------------------------
-
-// FtraceSource streams an ftrace-style log as an event trace for one
-// task under analysis, without materialising the parsed event records:
-// the projection of ParseFtrace + FtraceToTrace, line by line.
-type FtraceSource struct {
-	sourceCloser
-	ln     liner
-	schema *Schema
-	task   string
-	rename func(FtraceEvent) string
-	obs    Observation
-	lineNo int
-}
-
-// NewFtraceSource returns a source over the log. Events whose Task
-// does not match task are dropped unless task is empty; rename
-// optionally rewrites raw event names (empty result drops the event).
-func NewFtraceSource(r io.Reader, task string, rename func(FtraceEvent) string) *FtraceSource {
-	return &FtraceSource{
-		sourceCloser: newSourceCloser(r),
-		ln:           newLiner(r),
-		schema:       EventSchema(),
-		task:         task,
-		rename:       rename,
-		obs:          make(Observation, 1),
-	}
-}
-
-// Schema implements Source.
-func (s *FtraceSource) Schema() *Schema { return s.schema }
-
-// BytesRead implements ByteSource.
-func (s *FtraceSource) BytesRead() int64 { return s.ln.consumed() }
-
-// Next implements Source.
-func (s *FtraceSource) Next() (Observation, error) {
-	for {
-		raw, err := s.ln.next()
-		if err != nil {
-			if err != io.EOF {
-				return nil, fmt.Errorf("ftrace: %w", err)
-			}
-			return nil, io.EOF
-		}
-		s.lineNo++
-		raw = trimSpace(raw)
-		if len(raw) == 0 || raw[0] == '#' {
-			continue
-		}
-		ev, err := parseFtraceLine(string(raw))
-		if err != nil {
-			return nil, fmt.Errorf("ftrace: line %d: %w", s.lineNo, err)
-		}
-		if s.task != "" && ev.Task != s.task {
-			continue
-		}
-		name := ev.Name
-		if s.rename != nil {
-			name = s.rename(ev)
-		}
-		if name == "" {
-			continue
-		}
-		s.obs[0] = expr.SymVal(name)
-		return s.obs, nil
-	}
-}

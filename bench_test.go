@@ -314,7 +314,7 @@ func benchGenerateModel(b *testing.B, opts learn.Options) {
 	opts.Segmented = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := learn.GenerateModel(model.P, opts)
+		res, err := learn.GenerateModelSeqs(symbolSeqs(model.P), opts)
 		if err != nil {
 			b.Fatal(err)
 		}

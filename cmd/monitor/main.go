@@ -65,14 +65,14 @@ import (
 // hand-maintained synopsis did.
 const usage = `usage: monitor -model system.t2m -in trace.csv [-informat csv|events|ftrace]
                [-task comm-pid] [-stream] [-q] [-metrics-addr HOST:PORT]
-               [-stall-after D] [-synth-cache DIR] [-run-log DIR]
+               [-stall-after D] [-run-log DIR]
        monitor -model system.t2m -active -system counter|fifo|serial|usbslot
                [-probe N] [-seed N] [-q] [-metrics-addr HOST:PORT]
-               [-stall-after D] [-synth-cache DIR] [-run-log DIR]
+               [-stall-after D] [-run-log DIR]
        monitor -live -in trace.csv [-informat csv|events|ftrace] [-task comm-pid]
                [-reminimize-every K] [-max-versions N] [-idle-exit D]
                [-save model.t2m] [-q] [-metrics-addr HOST:PORT] [-stall-after D]
-               [-synth-cache DIR] [-run-log DIR]
+               [-run-log DIR]
 
 `
 
@@ -85,7 +85,6 @@ type options struct {
 	system                        string
 	probe                         int
 	seed                          int64
-	synthCacheDir                 string
 	runLog                        string
 	stallAfter                    time.Duration
 	live                          bool
@@ -110,7 +109,6 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.system, "system", "", "with -active: system to probe: "+strings.Join(systems.Names(), ", "))
 	fs.IntVar(&o.probe, "probe", 0, "with -active: probe length in observations (0 = the system's canonical trace length)")
 	fs.Int64Var(&o.seed, "seed", 0, "with -active: workload schedule seed (0 = the system's default)")
-	fs.StringVar(&o.synthCacheDir, "synth-cache", "", "share synthesized window predicates across runs via this cache directory (identical verdicts)")
 	fs.StringVar(&o.runLog, "run-log", "", "append this run's record to the run archive at this directory (see cmd/runstats)")
 	fs.DurationVar(&o.stallAfter, "stall-after", 0, "with -metrics-addr: /healthz reports stalled once no progress counter moved for this long (0 = 2m)")
 	fs.BoolVar(&o.live, "live", false, "learn and maintain a model live from a growing trace or stdin (no -model needed)")
@@ -121,28 +119,14 @@ func declareFlags(fs *flag.FlagSet) *options {
 	return o
 }
 
-// loadModel opens and deserialises the -model file, attaching the
-// shared synthesis cache when one is configured (trace abstraction
-// re-synthesises windows the model has not seen; the cache shares that
-// work with every other run pointing at the directory).
+// loadModel opens and deserialises the -model file.
 func loadModel(o *options) (*repro.Model, error) {
 	mf, err := os.Open(o.modelPath)
 	if err != nil {
 		return nil, err
 	}
-	model, err := repro.LoadModel(mf)
-	mf.Close()
-	if err != nil {
-		return nil, err
-	}
-	if o.synthCacheDir != "" {
-		scache, err := repro.OpenSynthCache(o.synthCacheDir)
-		if err != nil {
-			return nil, err
-		}
-		model.SetSynthCache(scache)
-	}
-	return model, nil
+	defer mf.Close()
+	return repro.LoadModel(mf)
 }
 
 func main() {
@@ -396,13 +380,7 @@ func runLive(o *options) (int, error) {
 	}
 	defer closer()
 
-	lopts := repro.LearnOptions{Telemetry: tel, Context: ctx}
-	if o.synthCacheDir != "" {
-		if lopts.SynthCache, err = repro.OpenSynthCache(o.synthCacheDir); err != nil {
-			return 2, err
-		}
-	}
-	p, err := repro.NewPipeline(src.Schema(), lopts)
+	p, err := repro.NewPipeline(src.Schema(), repro.LearnOptions{Telemetry: tel, Context: ctx})
 	if err != nil {
 		return 2, err
 	}

@@ -35,7 +35,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/learn"
 	"repro/internal/pipeline"
-	"repro/internal/predicate"
 	"repro/internal/runlog"
 	"repro/internal/systems"
 	"repro/internal/trace"
@@ -45,7 +44,7 @@ import (
 // it names every registered flag.
 const usage = `usage: probe -system counter|fifo|serial|usbslot [-seed N] [-truncate N]
              [-probe-cap N] [-depth D] [-rounds R] [-j N] [-portfolio N]
-             [-synth-cache DIR] [-save model.t2m] [-bench-out FILE]
+             [-save model.t2m] [-bench-out FILE]
              [-run-log DIR] [-q]
 
 `
@@ -64,9 +63,6 @@ type options struct {
 	benchOut  string
 	runLog    string
 	quiet     bool
-
-	synthCacheDir string
-	scache        *repro.SynthCache
 }
 
 // declareFlags registers all flags on fs; split out so the usage smoke
@@ -85,7 +81,6 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.benchOut, "bench-out", "", "write the run as a BENCH_active.json document to this file")
 	fs.StringVar(&o.runLog, "run-log", "", "append this run's record to the run archive at this directory (see cmd/runstats)")
 	fs.BoolVar(&o.quiet, "q", false, "suppress per-round output")
-	fs.StringVar(&o.synthCacheDir, "synth-cache", "", "share synthesized window predicates across runs and rounds via this cache directory (identical models)")
 	return o
 }
 
@@ -126,15 +121,8 @@ func run(o *options) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-	if o.synthCacheDir != "" {
-		o.scache, err = repro.OpenSynthCache(o.synthCacheDir)
-		if err != nil {
-			return 2, err
-		}
-	}
 	copts := core.Options{
-		Predicate: predicate.Options{Cache: o.scache},
-		Learn:     learn.Options{Portfolio: o.portfolio, Workers: o.workers},
+		Learn: learn.Options{Portfolio: o.portfolio, Workers: o.workers},
 	}
 	// The refinement loop's counters land in the run record, so a probe
 	// run's residue (rounds, divergences, probe volume) is queryable
@@ -259,8 +247,7 @@ func writeBench(o *options, sys systems.Scheduler, seedObs int, res *active.Resu
 		return err
 	}
 	pl, err := core.NewPipeline(full.Schema(), core.Options{
-		Predicate: predicate.Options{Cache: o.scache},
-		Learn:     learn.Options{Portfolio: o.portfolio, Workers: o.workers},
+		Learn: learn.Options{Portfolio: o.portfolio, Workers: o.workers},
 	})
 	if err != nil {
 		return err

@@ -14,7 +14,6 @@
 //	repro -exp fig7 [-max-exp K]
 //	repro -exp ablation-w | ablation-l | synth-styles | coverage
 //	repro -exp active [-active-out BENCH_active.json]
-//	repro -exp memo [-memo-out BENCH_memo.json]
 package main
 
 import (
@@ -37,10 +36,9 @@ import (
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment: all, figures, fig1b, fig2, fig3, fig4, fig5, fig6, fig7, table1, table2, ablation-w, ablation-l, synth-styles, coverage, ingest, solve, active, memo")
+		exp          = flag.String("exp", "all", "experiment: all, figures, fig1b, fig2, fig3, fig4, fig5, fig6, fig7, table1, table2, ablation-w, ablation-l, synth-styles, coverage, ingest, solve, active")
 		activeOut    = flag.String("active-out", "", "with -exp active: also write the results as a BENCH_active.json document to this file")
 		solveOut     = flag.String("solve-out", "", "with -exp solve: also write the results as a BENCH_solve.json document to this file")
-		memoOut      = flag.String("memo-out", "", "with -exp memo: also write the results as a BENCH_memo.json document to this file")
 		dotDir       = flag.String("dotdir", "", "write learned automata as DOT files into this directory")
 		fullTimeout  = flag.Duration("full-timeout", 60*time.Second, "timeout for non-segmented runs (Table I, Fig 7)")
 		mergeTimeout = flag.Duration("merge-timeout", 60*time.Second, "timeout for state-merge runs (Table II)")
@@ -48,20 +46,11 @@ func main() {
 		workers      = flag.Int("j", 0, "max concurrent solver-portfolio members, used only with -portfolio (0 = one per CPU; results identical)")
 		portfolio    = flag.Int("portfolio", 0, "race this many SAT solver configurations per solve (0/1 = serial; results identical)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof/ on this address; counters accumulate across experiment runs")
-		synthCache   = flag.String("synth-cache", "", "share synthesized window predicates across experiment runs via this cache directory (identical results, warm runs faster)")
 		runLog       = flag.String("run-log", "", "append this evaluation's record to the run archive at this directory (see cmd/runstats)")
 	)
 	flag.Parse()
 	experiments.Workers = *workers
 	experiments.Portfolio = *portfolio
-	if *synthCache != "" {
-		scache, err := repro.OpenSynthCache(*synthCache)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
-		}
-		experiments.SynthCache = scache
-	}
 
 	// SIGINT/SIGTERM abort the evaluation at the next observation or
 	// solver-round boundary instead of leaving a half-printed table; a
@@ -86,7 +75,7 @@ func main() {
 		experiments.Telemetry = &repro.Telemetry{Registry: repro.NewRegistry()}
 	}
 	start := time.Now()
-	if err := run(*exp, *dotDir, *activeOut, *memoOut, *solveOut, *fullTimeout, *mergeTimeout, *maxExp); err != nil {
+	if err := run(*exp, *dotDir, *activeOut, *solveOut, *fullTimeout, *mergeTimeout, *maxExp); err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
 		os.Exit(1)
 	}
@@ -131,11 +120,11 @@ var figureCase = map[string]string{
 	"fig4": "Integrator", "fig5": "Counter", "fig6": "Linux Kernel",
 }
 
-func run(exp, dotDir, activeOut, memoOut, solveOut string, fullTimeout, mergeTimeout time.Duration, maxExp int) error {
+func run(exp, dotDir, activeOut, solveOut string, fullTimeout, mergeTimeout time.Duration, maxExp int) error {
 	switch {
 	case exp == "all":
-		for _, e := range []string{"figures", "table1", "table2", "fig7", "ablation-w", "ablation-l", "ablation-sym", "synth-styles", "coverage", "invariants", "properties", "solve", "active", "memo"} {
-			if err := run(e, dotDir, activeOut, memoOut, solveOut, fullTimeout, mergeTimeout, maxExp); err != nil {
+		for _, e := range []string{"figures", "table1", "table2", "fig7", "ablation-w", "ablation-l", "ablation-sym", "synth-styles", "coverage", "invariants", "properties", "solve", "active"} {
+			if err := run(e, dotDir, activeOut, solveOut, fullTimeout, mergeTimeout, maxExp); err != nil {
 				return err
 			}
 			fmt.Println()
@@ -173,8 +162,6 @@ func run(exp, dotDir, activeOut, memoOut, solveOut string, fullTimeout, mergeTim
 		return runSolve(solveOut)
 	case exp == "active":
 		return runActive(activeOut)
-	case exp == "memo":
-		return runMemo(memoOut)
 	case exp == "invariants":
 		return runInvariants()
 	case exp == "properties":
@@ -457,31 +444,6 @@ func runActive(activeOut string) error {
 			return err
 		}
 		fmt.Printf("wrote %s\n", activeOut)
-	}
-	return nil
-}
-
-func runMemo(memoOut string) error {
-	fmt.Println("== Synthesis cache: disabled vs cold vs warm vs shared vs corrupted")
-	rows, err := experiments.RunMemo()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-16s %2s %7s %10s %10s %10s %7s %6s %8s %10s\n",
-		"example", "j", "states", "disabled", "cold", "warm", "stores", "hits", "corrupt", "identical")
-	for _, r := range rows {
-		identical := r.ColdIdentical && r.WarmIdentical && r.SharedIdentical && r.CorruptIdentical
-		fmt.Printf("%-16s %2d %7d %8.0fms %8.0fms %8.0fms %7d %6d %8d %10t\n",
-			r.Name, r.Workers, r.States, r.DisabledMS, r.ColdMS, r.WarmMS,
-			r.ColdStores, r.WarmHits, r.CorruptDetected, identical)
-	}
-	if memoOut != "" {
-		if err := pipeline.AtomicWriteFile(memoOut, func(w io.Writer) error {
-			return experiments.WriteMemoBench(w, rows)
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", memoOut)
 	}
 	return nil
 }

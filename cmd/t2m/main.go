@@ -59,9 +59,6 @@ type config struct {
 	checkpointEvery int
 	resume          bool
 
-	// Cross-run synthesis cache (see README "Synthesis cache").
-	synthCacheDir string
-
 	// Observability (see README "Observability" and "Run analytics").
 	traceOut      string
 	traceFull     bool
@@ -92,7 +89,6 @@ func main() {
 	flag.StringVar(&cfg.checkpointDir, "checkpoint", "", "periodically checkpoint the run into this directory (requires -stream)")
 	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 0, "ingest checkpoint interval in observations (0 = 100000)")
 	flag.BoolVar(&cfg.resume, "resume", false, "resume from the newest valid checkpoint in -checkpoint instead of starting fresh")
-	flag.StringVar(&cfg.synthCacheDir, "synth-cache", "", "share synthesized window predicates across runs via this cache directory (identical model, warm runs faster)")
 	flag.BoolVar(&cfg.quiet, "q", false, "print only the automaton")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "write the run's span/event trace as NDJSON to this file (high-cardinality span kinds are sampled; see -trace-full)")
 	flag.BoolVar(&cfg.traceFull, "trace-full", false, "emit every span unsampled (trace file grows with trace length)")
@@ -215,14 +211,6 @@ func run(cfg config) (err error) {
 		input = &d
 	}
 
-	var scache *repro.SynthCache
-	if cfg.synthCacheDir != "" {
-		scache, err = repro.OpenSynthCache(cfg.synthCacheDir)
-		if err != nil {
-			return err
-		}
-	}
-
 	opts := repro.LearnOptions{
 		PredicateWindow: cfg.predW,
 		SegmentWindow:   cfg.segW,
@@ -238,7 +226,6 @@ func run(cfg config) (err error) {
 		CheckpointEvery: cfg.checkpointEvery,
 		Resume:          cfg.resume,
 		CheckpointInput: input,
-		SynthCache:      scache,
 	}
 	if cfg.resume && !cfg.quiet {
 		if info, ierr := repro.InspectCheckpoint(cfg.checkpointDir); ierr == nil {
@@ -308,11 +295,6 @@ func run(cfg config) (err error) {
 		fmt.Printf("solver: %d conflicts, %d decisions, %d propagations, %d learned clauses\n",
 			model.LearnStats.SATConflicts, model.LearnStats.SATDecisions,
 			model.LearnStats.SATPropagations, model.LearnStats.SATLearned)
-		if scache != nil {
-			st := scache.Stats()
-			fmt.Printf("synth cache: %d hits, %d misses, %d stores, %d corrupt\n",
-				st.Hits, st.Misses, st.Stores, st.Corrupt)
-		}
 		fmt.Printf("learned %d-state automaton in %s\n", model.States, elapsed.Round(time.Millisecond))
 		fmt.Print(pipeline.Format(model.Stages))
 		fmt.Println()
@@ -389,7 +371,6 @@ func configMap(cfg config) map[string]any {
 		"portfolio":       cfg.portfolio,
 		"stream":          cfg.stream,
 		"timeout":         cfg.timeout.String(),
-		"synth_cache":     cfg.synthCacheDir,
 	}
 }
 

@@ -58,9 +58,8 @@ func diffInputs(t *testing.T) []diffInput {
 
 // TestDifferentialModes is the cross-mode differential harness: every
 // input goes through the in-memory path, the streaming path, the
-// portfolio solver, a warm synthesis cache, and a crash +
-// checkpoint-resume run — and all five must produce byte-identical
-// automata. Any mode that drifts from the in-memory reference is
+// portfolio solver, and a crash + checkpoint-resume run — and all four
+// must produce byte-identical automata. Any mode that drifts from the in-memory reference is
 // reported by name.
 func TestDifferentialModes(t *testing.T) {
 	for _, in := range diffInputs(t) {
@@ -90,32 +89,6 @@ func TestDifferentialModes(t *testing.T) {
 				if m.States != ref.States {
 					t.Errorf("%s states = %d, batch = %d", mode.name, m.States, ref.States)
 				}
-			}
-
-			// Warm-cache leg: prime a shared synthesis cache, then
-			// relearn entirely from it — the cached run must also
-			// reproduce the batch automaton (see internal/synthcache).
-			cacheDir := t.TempDir()
-			prime, err := repro.OpenSynthCache(cacheDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := repro.Learn(in.tr, repro.LearnOptions{SynthCache: prime}); err != nil {
-				t.Fatalf("cache-priming learn: %v", err)
-			}
-			warm, err := repro.OpenSynthCache(cacheDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := repro.LearnSource(repro.NewTraceSource(in.tr), repro.LearnOptions{SynthCache: warm})
-			if err != nil {
-				t.Fatalf("warm-cache learn: %v", err)
-			}
-			if got := m.Automaton.String(); got != want {
-				t.Errorf("warm-cache automaton diverged from batch:\nbatch:\n%s\nwarm-cache:\n%s", want, got)
-			}
-			if st := warm.Stats(); st.Hits == 0 || st.Misses != 0 {
-				t.Errorf("warm-cache run stats %+v, want all hits", st)
 			}
 
 			// Crash mid-ingestion, then resume from the surviving

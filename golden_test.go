@@ -56,6 +56,16 @@ func readExampleTrace(t *testing.T, path string) *trace.Trace {
 	return tr
 }
 
+// symbolSeqs wraps one expanded symbol sequence as the input
+// learn.GenerateModelSeqs takes.
+func symbolSeqs(P []string) []*learn.Seq {
+	seq := learn.NewSeq()
+	for _, sym := range P {
+		seq.Append(sym, 1)
+	}
+	return []*learn.Seq{seq}
+}
+
 // TestGoldenExamples learns a model for every trace under
 // examples/traces and compares its state count and accepted l-grams
 // against the checked-in golden files. Regenerate with
@@ -109,7 +119,7 @@ func TestGoldenExamples(t *testing.T) {
 			}
 			ref := model.Automaton.String()
 			for _, mode := range modes {
-				res, err := learn.GenerateModel(model.P, mode.opts)
+				res, err := learn.GenerateModelSeqs(symbolSeqs(model.P), mode.opts)
 				if err != nil {
 					t.Fatalf("%s relearn: %v", mode.name, err)
 				}

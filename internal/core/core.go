@@ -21,7 +21,6 @@ import (
 	"repro/internal/learn"
 	"repro/internal/pipeline"
 	"repro/internal/predicate"
-	"repro/internal/synthcache"
 	"repro/internal/trace"
 )
 
@@ -136,12 +135,6 @@ func (m *Model) SetContext(ctx context.Context) {
 	m.pipeline.opts.Context = ctx
 	m.pipeline.gen.SetContext(ctx)
 }
-
-// SetSynthCache attaches a cross-run synthesis cache to the model's
-// predicate generator for the monitoring path, so abstracting fresh
-// traces of a known system reuses windows synthesised by any earlier
-// run sharing the cache directory (see internal/synthcache).
-func (m *Model) SetSynthCache(c *synthcache.Cache) { m.pipeline.gen.SetSynthCache(c) }
 
 // BuildManifest assembles the run-manifest skeleton for this model:
 // per-stage metrics, the registry's counters and histogram summaries,

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,6 +47,13 @@ import (
 // tail).
 
 const modelMagic = "t2m-model v1"
+
+// maxModelStates bounds the state count ReadModel accepts. The header
+// count sizes automaton.New's per-state tables before any transition
+// is read, so a corrupt count must be refused up front. Learned models
+// are far smaller: the SAT search is exponential in N, and
+// learn.Options.MaxStates defaults to 64.
+const maxModelStates = 1 << 16
 
 // WriteModel serialises the model.
 func WriteModel(w io.Writer, m *Model) error {
@@ -107,7 +115,9 @@ func WriteModel(w io.Writer, m *Model) error {
 
 // ReadModel deserialises a model written by WriteModel. The returned
 // model carries a fresh Pipeline primed with the saved seeds, so Check
-// and Explain behave as on the original.
+// and Explain behave as on the original. Header counts are checked but
+// never trusted to size allocations: tables grow with the lines
+// actually read.
 func ReadModel(r io.Reader) (*Model, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -173,7 +183,8 @@ func ReadModel(r io.Reader) (*Model, error) {
 	}
 	types := schema.Types()
 
-	intField := func(prefix string) (int, error) {
+	// intField reads a "prefix n" line and checks n against [lo, hi].
+	intField := func(prefix string, lo, hi int) (int, error) {
 		l, err := line()
 		if err != nil {
 			return 0, err
@@ -182,18 +193,28 @@ func ReadModel(r io.Reader) (*Model, error) {
 		if !ok {
 			return 0, fmt.Errorf("expected %q line, got %q", prefix, l)
 		}
-		return strconv.Atoi(rest)
+		n, err := strconv.Atoi(rest)
+		if err != nil {
+			return 0, err
+		}
+		switch {
+		case n < lo:
+			return 0, fmt.Errorf("%s %d is below %d", prefix, n, lo)
+		case n > hi:
+			return 0, fmt.Errorf("%s %d exceeds %d", prefix, n, hi)
+		}
+		return n, nil
 	}
 
-	window, err := intField("window")
+	window, err := intField("window", 2, math.MaxInt)
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
-	states, err := intField("states")
+	states, err := intField("states", 1, maxModelStates)
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
-	initial, err := intField("initial")
+	initial, err := intField("initial", 0, states-1)
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
@@ -202,13 +223,12 @@ func ReadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("model: %w", err)
 	}
 
-	nAlpha, err := intField("alphabet")
+	nAlpha, err := intField("alphabet", 0, math.MaxInt)
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
-	symbols := make([]string, nAlpha)
-	alphabet := make(map[string]*predicate.Predicate, nAlpha)
-	exprs := make(map[string]expr.Expr, nAlpha)
+	var symbols []string
+	alphabet := map[string]*predicate.Predicate{}
 	for i := 0; i < nAlpha; i++ {
 		l, err := line()
 		if err != nil {
@@ -222,18 +242,21 @@ func ReadModel(r io.Reader) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("model: alphabet entry %d: %w", i, err)
 		}
-		symbols[i] = e.String()
-		if symbols[i] != text {
-			return nil, fmt.Errorf("model: alphabet entry %d is not canonical: %q vs %q", i, text, symbols[i])
+		if canon := e.String(); canon != text {
+			return nil, fmt.Errorf("model: alphabet entry %d is not canonical: %q vs %q", i, text, canon)
 		}
+		symbols = append(symbols, text)
 		alphabet[text] = &predicate.Predicate{Expr: e, Key: text}
-		exprs[text] = e
 	}
 
-	nTrans, err := intField("transitions")
+	nTrans, err := intField("transitions", 0, math.MaxInt)
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}
+	// Edges are added symbol by symbol in alphabet order, so the
+	// automaton's first-seen symbol order — the order WriteModel writes
+	// the alphabet in — survives a save and reload.
+	bySym := make([][]automaton.Transition, len(symbols))
 	for i := 0; i < nTrans; i++ {
 		l, err := line()
 		if err != nil {
@@ -249,12 +272,18 @@ func ReadModel(r io.Reader) (*Model, error) {
 		if err1 != nil || err2 != nil || err3 != nil || sym < 0 || sym >= nAlpha {
 			return nil, fmt.Errorf("model: bad transition line %q", l)
 		}
-		if err := nfa.AddTransition(automaton.State(from), symbols[sym], automaton.State(to)); err != nil {
-			return nil, fmt.Errorf("model: %w", err)
+		bySym[sym] = append(bySym[sym], automaton.Transition{
+			From: automaton.State(from), Symbol: symbols[sym], To: automaton.State(to)})
+	}
+	for _, trs := range bySym {
+		for _, tr := range trs {
+			if err := nfa.AddTransition(tr.From, tr.Symbol, tr.To); err != nil {
+				return nil, fmt.Errorf("model: %w", err)
+			}
 		}
 	}
 
-	nSeeds, err := intField("seeds")
+	nSeeds, err := intField("seeds", 0, math.MaxInt)
 	if err != nil {
 		return nil, fmt.Errorf("model: %w", err)
 	}

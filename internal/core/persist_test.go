@@ -135,6 +135,44 @@ func TestReadModelErrors(t *testing.T) {
 	}
 }
 
+// TestReadModelBadCounts: header counts come from outside input
+// (monitor -model), so a negative or absurd count must come back as a
+// model error — not a makeslice panic, an out-of-memory crash, or a
+// silently defaulted window.
+func TestReadModelBadCounts(t *testing.T) {
+	for name, src := range badCountModels {
+		_, err := ReadModel(strings.NewReader(src))
+		if err == nil {
+			t.Errorf("%s: ReadModel accepted:\n%s", name, src)
+		} else if !strings.HasPrefix(err.Error(), "model: ") {
+			t.Errorf("%s: error %q lacks the model: prefix", name, err)
+		}
+	}
+	// The same skeleton with sane counts loads: the cases above fail on
+	// their counts alone.
+	ok := badCountHead + "alphabet 0\ntransitions 0\nseeds 0\n"
+	if _, err := ReadModel(strings.NewReader(ok)); err != nil {
+		t.Fatalf("ReadModel rejected the well-formed skeleton: %v", err)
+	}
+}
+
+const badCountHead = "t2m-model v1\nschema x:int\nwindow 3\nstates 1\ninitial 0\n"
+
+// badCountModels are model files whose only defect is a header count;
+// FuzzReadModel seeds from them too.
+var badCountModels = map[string]string{
+	"negative alphabet":    badCountHead + "alphabet -1\n",
+	"huge alphabet":        badCountHead + "alphabet 100000000000\n",
+	"negative transitions": badCountHead + "alphabet 0\ntransitions -1\nseeds 0\n",
+	"huge transitions":     badCountHead + "alphabet 0\ntransitions 100000000000\n",
+	"negative seeds":       badCountHead + "alphabet 0\ntransitions 0\nseeds -1\n",
+	"huge seeds":           badCountHead + "alphabet 0\ntransitions 0\nseeds 100000000000\n",
+	"huge states":          "t2m-model v1\nschema x:int\nwindow 3\nstates 100000000000\ninitial 0\nalphabet 0\ntransitions 0\nseeds 0\n",
+	"window 0":             "t2m-model v1\nschema x:int\nwindow 0\nstates 1\ninitial 0\nalphabet 0\ntransitions 0\nseeds 0\n",
+	"window 1":             "t2m-model v1\nschema x:int\nwindow 1\nstates 1\ninitial 0\nalphabet 0\ntransitions 0\nseeds 0\n",
+	"negative window":      "t2m-model v1\nschema x:int\nwindow -3\nstates 1\ninitial 0\nalphabet 0\ntransitions 0\nseeds 0\n",
+}
+
 func TestSeedsSurviveReload(t *testing.T) {
 	tr := counterTrace(t, 40)
 	p := testPipeline(t, tr.Schema())

@@ -84,21 +84,13 @@ var Telemetry *repro.Telemetry
 // context here so ^C aborts a long evaluation cleanly).
 var Context context.Context
 
-// SynthCache, when non-nil, shares synthesized window predicates
-// across every experiment run (cmd/repro's -synth-cache flag). Like
-// Workers and Portfolio it never changes results: models are
-// byte-identical with the cache cold, warm, shared or disabled.
-var SynthCache *repro.SynthCache
-
 // withWorkers applies the package-level worker count, portfolio size,
-// telemetry, synthesis cache and cancellation context to a run's
-// options.
+// telemetry and cancellation context to a run's options.
 func withWorkers(opts repro.LearnOptions) repro.LearnOptions {
 	opts.Workers = Workers
 	opts.Portfolio = Portfolio
 	opts.Telemetry = Telemetry
 	opts.Context = Context
-	opts.SynthCache = SynthCache
 	return opts
 }
 

@@ -61,34 +61,25 @@ func solvePigeonhole(pigeons, holes int) *sat.Solver {
 }
 
 // RunSolve measures solver throughput on the pinned workloads: the
-// PHP(9,8) refutation solved cold and with an inprocessing pass, then
-// the full learn loop on the Counter and Serial I/O cases (solver
-// effort there includes encoding and canonical extraction probing, as
-// it does in production). Results are deterministic in everything but
-// wall time.
+// PHP(9,8) refutation, then the full learn loop on the Counter and
+// Serial I/O cases (solver effort there includes encoding and
+// canonical extraction probing, as it does in production). Results are
+// deterministic in everything but wall time.
 func RunSolve() ([]SolveRow, error) {
-	var rows []SolveRow
-	cnf := func(name string, prep func(*sat.Solver)) {
-		s := solvePigeonhole(9, 8)
-		if prep != nil {
-			prep(s)
-		}
-		t0 := time.Now()
-		st := s.Solve()
-		wall := time.Since(t0)
-		rows = append(rows, SolveRow{
-			Name:         name,
-			Status:       st.String(),
-			WallMS:       float64(wall.Nanoseconds()) / 1e6,
-			Conflicts:    s.Stats.Conflicts,
-			Propagations: s.Stats.Propagations,
-			Learned:      s.Stats.Learned,
-			ConflictsPS:  rate(s.Stats.Conflicts, wall),
-			PropsPS:      rate(s.Stats.Propagations, wall),
-		})
-	}
-	cnf("php-9-8", nil)
-	cnf("php-9-8-inprocessed", func(s *sat.Solver) { s.Simplify() })
+	s := solvePigeonhole(9, 8)
+	t0 := time.Now()
+	st := s.Solve()
+	wall := time.Since(t0)
+	rows := []SolveRow{{
+		Name:         "php-9-8",
+		Status:       st.String(),
+		WallMS:       float64(wall.Nanoseconds()) / 1e6,
+		Conflicts:    s.Stats.Conflicts,
+		Propagations: s.Stats.Propagations,
+		Learned:      s.Stats.Learned,
+		ConflictsPS:  rate(s.Stats.Conflicts, wall),
+		PropsPS:      rate(s.Stats.Propagations, wall),
+	}}
 
 	for _, lc := range []struct{ name, short string }{
 		{"Counter", "counter"},
@@ -137,7 +128,7 @@ func WriteSolveBench(w io.Writer, rows []SolveRow) error {
 		Results     []SolveRow `json:"results"`
 	}{
 		Benchmark:   "solve",
-		Description: "SAT solver throughput: conflicts/sec on a PHP(9,8) refutation (cold and after an inprocessing pass) and inside full learning runs (repro -exp solve -solve-out BENCH_solve.json)",
+		Description: "SAT solver throughput: conflicts/sec on a PHP(9,8) refutation and inside full learning runs (repro -exp solve -solve-out BENCH_solve.json)",
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 		Results:     rows,

@@ -57,7 +57,7 @@ func TestNewSeqFromStateRejectsCorruption(t *testing.T) {
 func TestResumeFromEveryRound(t *testing.T) {
 	P := repeatPattern(6, 3)
 	var states []*CheckpointState
-	base, err := GenerateModel(P, Options{
+	base, err := GenerateModelSeqs(seqsOf(P), Options{
 		Segmented: true,
 		Checkpoint: func(st *CheckpointState) error {
 			states = append(states, st)
@@ -73,7 +73,7 @@ func TestResumeFromEveryRound(t *testing.T) {
 	want := base.Automaton.String()
 
 	for i, st := range states {
-		res, err := GenerateModel(P, Options{Segmented: true, Resume: st})
+		res, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true, Resume: st})
 		if err != nil {
 			t.Fatalf("resume from round %d (N=%d): %v", i, st.N, err)
 		}
@@ -89,7 +89,7 @@ func TestResumeFromEveryRound(t *testing.T) {
 func TestCheckpointAbortsSearch(t *testing.T) {
 	P := repeatPattern(4, 2)
 	boom := errTest("checkpoint sink failed")
-	_, err := GenerateModel(P, Options{
+	_, err := GenerateModelSeqs(seqsOf(P), Options{
 		Segmented:  true,
 		Checkpoint: func(*CheckpointState) error { return boom },
 	})

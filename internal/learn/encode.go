@@ -70,34 +70,9 @@ type encoding struct {
 	// the first slot when ordering is enabled, always nil otherwise.
 	chainTail []int
 
-	// simplifyAt is the clause count at which the next inprocessing
-	// pass fires; zero until the first maybeSimplify arms it.
-	simplifyAt int
-
 	// rel is the canonical n·|Σ|·n transition relation the latest
 	// canonicalize computed (see tVar for the flat index).
 	rel []bool
-}
-
-// maybeSimplify runs the solver's deterministic level-0 inprocessing
-// (satisfied-clause elimination, subsumption) once the clause database
-// has grown past the armed threshold. A fresh encoding only arms the
-// threshold: there are no level-0 facts to exploit before the first
-// solve. Simplification preserves logical equivalence, so statuses,
-// cores and — via canonical extraction — models are unchanged; a
-// top-level contradiction it uncovers surfaces as Unsat from the next
-// solve, exactly as if the solver had found it itself.
-func (e *encoding) maybeSimplify() {
-	n := e.solver.NumClauses()
-	if e.simplifyAt == 0 || n >= e.simplifyAt {
-		if e.simplifyAt != 0 {
-			e.solver.Simplify()
-			n = e.solver.NumClauses()
-		}
-		// Re-arm at ~12% growth so passes stay rare relative to
-		// solving work.
-		e.simplifyAt = n + n/8 + 256
-	}
 }
 
 // newEncoding builds the hypothesis for n states (allocating capacity

@@ -32,7 +32,7 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Options tunes GenerateModel.
+// Options tunes GenerateModelSeqs.
 type Options struct {
 	// Window is the segmentation window w over the predicate
 	// sequence. Zero means 3, the paper's choice.
@@ -78,13 +78,6 @@ type Options struct {
 	// equivalence testing and ablation benchmarks. Canonical model
 	// extraction makes the learned automaton identical either way.
 	ScratchRefinement bool
-	// NoInprocessing disables the growth-gated solver inprocessing
-	// (satisfied-clause elimination and subsumption between rounds;
-	// see sat.Solver.Simplify). Inprocessing preserves logical
-	// equivalence and canonical extraction pins the model, so the
-	// learned automaton is byte-identical either way — the knob exists
-	// for the equivalence tests and ablation benchmarks.
-	NoInprocessing bool
 	// Context cancels the search between solver rounds (signal
 	// handling; a round in flight finishes first). Nil means never
 	// cancelled.
@@ -195,39 +188,6 @@ var ErrTimeout = errors.New("learn: timeout")
 // ErrTimeout, so errors.Is(err, ErrTimeout) continues to hold for
 // callers that only care that the search ran out of time.
 var ErrBudgetExceeded = fmt.Errorf("learn: solver budget exceeded mid-solve: %w", ErrTimeout)
-
-// GenerateModel learns an automaton from the symbol sequence P (the
-// canonical predicate keys, or raw event names for event traces).
-func GenerateModel(P []string, opts Options) (*Result, error) {
-	return GenerateModelMulti([][]string{P}, opts)
-}
-
-// GenerateModelMulti learns one automaton from several symbol
-// sequences — independent runs of the same system, all starting in the
-// same initial state. Segments, valid l-grams and acceptance
-// constraints are the unions over the runs; the learned model accepts
-// every run from its initial state. This implements the multi-run
-// learning the paper's prospects section motivates (exercising the
-// system several ways to close coverage holes).
-func GenerateModelMulti(Ps [][]string, opts Options) (*Result, error) {
-	if len(Ps) == 0 {
-		return nil, errors.New("learn: no input sequences")
-	}
-	// Convert to run-length-encoded sequences and delegate: there is
-	// one algorithm (GenerateModelSeqs), so the expanded and streamed
-	// entry points cannot diverge. An empty P converts to a zero-length
-	// Seq, which GenerateModelSeqs rejects with the same error this
-	// function always raised.
-	seqs := make([]*Seq, len(Ps))
-	for t, P := range Ps {
-		seq := NewSeq()
-		for _, sym := range P {
-			seq.Append(sym, 1)
-		}
-		seqs[t] = seq
-	}
-	return GenerateModelSeqs(seqs, opts)
-}
 
 // invalidSequences returns the l-grams realisable in m that are not
 // contiguous subsequences of P, as symbol-id words (S_l − P_l).

@@ -53,7 +53,7 @@ func checkSegments(t *testing.T, res *Result, P []string, w int) {
 
 func TestCounterShape(t *testing.T) {
 	P := repeatPattern(10, 3)
-	res, err := GenerateModel(P, Options{Segmented: true})
+	res, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestThreeCycle(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		P = append(P, []string{"a", "b", "c"}[i%3])
 	}
-	res, err := GenerateModel(P, Options{Segmented: true})
+	res, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestThreeCycle(t *testing.T) {
 
 func TestSingleSymbolLoop(t *testing.T) {
 	P := []string{"a", "a", "a", "a", "a", "a"}
-	res, err := GenerateModel(P, Options{Segmented: true})
+	res, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestSingleSymbolLoop(t *testing.T) {
 
 func TestNonSegmentedAgrees(t *testing.T) {
 	P := repeatPattern(4, 2)
-	seg, err := GenerateModel(P, Options{Segmented: true})
+	seg, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := GenerateModel(P, Options{Segmented: false})
+	full, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestComplianceRefinementTriggers(t *testing.T) {
 		P = append(P, []string{"a", "b"}[i%2])
 	}
 	P = append(P, "a", "c", "a", "b", "a", "c")
-	res, err := GenerateModel(P, Options{Segmented: true})
+	res, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestComplianceRefinementTriggers(t *testing.T) {
 
 func TestMaxStates(t *testing.T) {
 	P := []string{"a", "b", "a", "c"}
-	_, err := GenerateModel(P, Options{Segmented: true, MaxStates: 2})
+	_, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true, MaxStates: 2})
 	if !errors.Is(err, ErrNoAutomaton) {
 		t.Errorf("err = %v, want ErrNoAutomaton", err)
 	}
@@ -163,14 +163,14 @@ func TestMaxStates(t *testing.T) {
 
 func TestTimeout(t *testing.T) {
 	P := repeatPattern(50, 5)
-	_, err := GenerateModel(P, Options{Segmented: false, Timeout: time.Nanosecond})
+	_, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: false, Timeout: time.Nanosecond})
 	if !errors.Is(err, ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
 }
 
 func TestEmptyInput(t *testing.T) {
-	if _, err := GenerateModel(nil, Options{}); err == nil {
+	if _, err := GenerateModelSeqs(seqsOf(nil), Options{}); err == nil {
 		t.Error("empty input accepted")
 	}
 }
@@ -178,7 +178,7 @@ func TestEmptyInput(t *testing.T) {
 func TestShortInput(t *testing.T) {
 	// Input shorter than the window: the window clamps to the
 	// sequence length.
-	res, err := GenerateModel([]string{"a", "b"}, Options{Segmented: true})
+	res, err := GenerateModelSeqs(seqsOf([]string{"a", "b"}), Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestShortInput(t *testing.T) {
 
 func TestStartStates(t *testing.T) {
 	P := repeatPattern(5, 2)
-	res, err := GenerateModel(P, Options{Segmented: true, StartStates: 4})
+	res, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true, StartStates: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestPropertyRandomWords(t *testing.T) {
 		for i := range P {
 			P[i] = alpha[r.Intn(len(alpha))]
 		}
-		res, err := GenerateModel(P, Options{Segmented: true, MaxStates: 32})
+		res, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true, MaxStates: 32})
 		if err != nil {
 			t.Fatalf("trial %d (%v): %v", trial, P, err)
 		}
@@ -224,7 +224,7 @@ func TestPropertyRandomWords(t *testing.T) {
 		checkCompliance(t, res, P, 2)
 		checkSegments(t, res, P, min(3, len(P)))
 		// Segmented never needs more states than non-segmented.
-		full, err := GenerateModel(P, Options{Segmented: false, MaxStates: 32})
+		full, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: false, MaxStates: 32})
 		if err != nil {
 			t.Fatalf("trial %d full (%v): %v", trial, P, err)
 		}
@@ -237,7 +237,7 @@ func TestPropertyRandomWords(t *testing.T) {
 
 func TestComplianceLenL3(t *testing.T) {
 	P := repeatPattern(6, 3)
-	res, err := GenerateModel(P, Options{Segmented: true, Window: 4, ComplianceLen: 3})
+	res, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true, Window: 4, ComplianceLen: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestComplianceLenL3(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	P := repeatPattern(8, 2)
-	res, err := GenerateModel(P, Options{Segmented: true})
+	res, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestMultiSequence(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		p2 = append(p2, "req", "nak", "req", "ack")
 	}
-	res, err := GenerateModelMulti([][]string{p1, p2}, Options{Segmented: true})
+	res, err := GenerateModelSeqs(seqsOf(p1, p2), Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestMultiSequenceSharedInitialState(t *testing.T) {
 	// state.
 	p1 := []string{"a", "b", "a", "b"}
 	p2 := []string{"c", "b", "c", "b"}
-	res, err := GenerateModelMulti([][]string{p1, p2}, Options{Segmented: true})
+	res, err := GenerateModelSeqs(seqsOf(p1, p2), Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,10 +311,10 @@ func TestMultiSequenceSharedInitialState(t *testing.T) {
 }
 
 func TestMultiSequenceValidation(t *testing.T) {
-	if _, err := GenerateModelMulti(nil, Options{Segmented: true}); err == nil {
+	if _, err := GenerateModelSeqs(nil, Options{Segmented: true}); err == nil {
 		t.Error("no sequences accepted")
 	}
-	if _, err := GenerateModelMulti([][]string{{"a"}, {}}, Options{Segmented: true}); err == nil {
+	if _, err := GenerateModelSeqs(seqsOf([]string{"a"}, nil), Options{Segmented: true}); err == nil {
 		t.Error("empty sequence accepted")
 	}
 }

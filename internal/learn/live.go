@@ -417,9 +417,6 @@ func (l *Live) extend() error {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return ErrTimeout
 		}
-		if !l.opts.NoInprocessing {
-			l.pf.maybeSimplify()
-		}
 		l.stats.SolverCalls++
 		cSolves.Add(1)
 		t0 := time.Now()

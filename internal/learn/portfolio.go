@@ -226,17 +226,6 @@ func (pf *portfolio) solve(deadline time.Time) (sat.Status, bool) {
 	return m0.last, false
 }
 
-// maybeSimplify runs growth-gated inprocessing on every member before
-// a round. Member 0's pass is a deterministic function of its (serial,
-// deterministic) solver state, so the determinism rule is unaffected;
-// variant members only ever contribute Unsat verdicts, which
-// equivalence-preserving simplification cannot corrupt.
-func (pf *portfolio) maybeSimplify() {
-	for _, m := range pf.members {
-		m.enc.maybeSimplify()
-	}
-}
-
 // addStats accumulates each member's solver counters into st, keeping
 // per-member high-water marks so repeated calls never double count.
 func (pf *portfolio) addStats(st *Stats) {

@@ -65,7 +65,7 @@ func TestPaperInvariantsSerialAndPortfolio(t *testing.T) {
 	}
 	for _, P := range propertySequences() {
 		for _, mode := range modes {
-			res, err := GenerateModel(P, mode.opts)
+			res, err := GenerateModelSeqs(seqsOf(P), mode.opts)
 			if err != nil {
 				t.Fatalf("%s (%v): %v", mode.name, P, err)
 			}
@@ -83,11 +83,11 @@ func TestPaperInvariantsSerialAndPortfolio(t *testing.T) {
 // rebuild finds — same states, transitions, and start state.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	for _, P := range propertySequences() {
-		inc, err := GenerateModel(P, Options{Segmented: true, MaxStates: 32})
+		inc, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true, MaxStates: 32})
 		if err != nil {
 			t.Fatalf("incremental (%v): %v", P, err)
 		}
-		scr, err := GenerateModel(P, Options{Segmented: true, MaxStates: 32, ScratchRefinement: true})
+		scr, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true, MaxStates: 32, ScratchRefinement: true})
 		if err != nil {
 			t.Fatalf("scratch (%v): %v", P, err)
 		}
@@ -116,7 +116,7 @@ func TestPortfolioDeterministicAcrossWorkers(t *testing.T) {
 		}
 		var ref *outcome
 		for _, workers := range []int{1, 2, 8} {
-			res, err := GenerateModel(P, Options{
+			res, err := GenerateModelSeqs(seqsOf(P), Options{
 				Segmented: true, MaxStates: 32, Portfolio: 4, Workers: workers,
 			})
 			if err != nil {
@@ -134,45 +134,6 @@ func TestPortfolioDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestInprocessingByteIdentical: solver inprocessing between rounds
-// (the default) must learn the exact automaton the untouched solvers
-// find — Simplify preserves logical equivalence and canonical
-// extraction pins the model, so the rendered automata, state counts
-// and acceptance flags are byte-identical with the knob on or off, in
-// serial and portfolio modes alike.
-func TestInprocessingByteIdentical(t *testing.T) {
-	modes := []struct {
-		name string
-		opts Options
-	}{
-		{"serial", Options{Segmented: true, MaxStates: 32}},
-		{"portfolio", Options{Segmented: true, MaxStates: 32, Portfolio: 4, Workers: 4}},
-	}
-	for _, P := range propertySequences() {
-		for _, mode := range modes {
-			on, err := GenerateModel(P, mode.opts)
-			if err != nil {
-				t.Fatalf("%s inprocessing on (%v): %v", mode.name, P, err)
-			}
-			offOpts := mode.opts
-			offOpts.NoInprocessing = true
-			off, err := GenerateModel(P, offOpts)
-			if err != nil {
-				t.Fatalf("%s inprocessing off (%v): %v", mode.name, P, err)
-			}
-			if on.Automaton.String() != off.Automaton.String() {
-				t.Errorf("%s input %v:\ninprocessing on:\n%s\noff:\n%s",
-					mode.name, P, on.Automaton, off.Automaton)
-			}
-			if on.Stats.FinalStates != off.Stats.FinalStates || on.AcceptsInput != off.AcceptsInput {
-				t.Errorf("%s input %v: states/accepts diverged: on=(%d,%v) off=(%d,%v)",
-					mode.name, P, on.Stats.FinalStates, on.AcceptsInput,
-					off.Stats.FinalStates, off.AcceptsInput)
-			}
-		}
-	}
-}
-
 // TestPortfolioMatchesSerialSemantics: portfolio and serial modes
 // learn the identical automaton. Canonical model extraction makes this
 // exact: the lex-least transition relation is a function of the
@@ -180,11 +141,11 @@ func TestInprocessingByteIdentical(t *testing.T) {
 // raced ahead.
 func TestPortfolioMatchesSerialSemantics(t *testing.T) {
 	for _, P := range propertySequences() {
-		serial, err := GenerateModel(P, Options{Segmented: true, MaxStates: 32})
+		serial, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true, MaxStates: 32})
 		if err != nil {
 			t.Fatalf("serial (%v): %v", P, err)
 		}
-		pf, err := GenerateModel(P, Options{Segmented: true, MaxStates: 32, Portfolio: 4, Workers: 4})
+		pf, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true, MaxStates: 32, Portfolio: 4, Workers: 4})
 		if err != nil {
 			t.Fatalf("portfolio (%v): %v", P, err)
 		}
@@ -256,7 +217,7 @@ func TestBudgetExceededNearZeroDeadline(t *testing.T) {
 	defer func() { solveChunkConflicts = old }()
 
 	for _, timeout := range []time.Duration{time.Nanosecond, 200 * time.Microsecond} {
-		res, err := GenerateModel(repeatPattern(10, 3), Options{Segmented: true, Timeout: timeout})
+		res, err := GenerateModelSeqs(seqsOf(repeatPattern(10, 3)), Options{Segmented: true, Timeout: timeout})
 		if err == nil {
 			t.Fatalf("timeout %v: expected an error, got %d-state automaton", timeout, res.Stats.FinalStates)
 		}
@@ -279,7 +240,7 @@ func TestBudgetExceededNearZeroDeadline(t *testing.T) {
 
 // TestPortfolioWithTimeout: the portfolio path honours deadlines too.
 func TestPortfolioWithTimeout(t *testing.T) {
-	res, err := GenerateModel(repeatPattern(10, 3), Options{
+	res, err := GenerateModelSeqs(seqsOf(repeatPattern(10, 3)), Options{
 		Segmented: true, Timeout: time.Nanosecond, Portfolio: 4, Workers: 4,
 	})
 	if err == nil || !errors.Is(err, ErrTimeout) {

@@ -1,18 +1,15 @@
-// Run-length-encoded model learning: GenerateModelSeqs is
-// GenerateModelMulti over RLE symbol sequences, so the streaming
-// pipeline can hand the learner its predicate stream without ever
-// materialising the expanded sequence. Resident memory is O(runs +
-// unique segments + unique grams); on the long, repetition-dominated
-// traces the paper targets, runs ≪ length.
+// Run-length-encoded model learning: GenerateModelSeqs learns over RLE
+// symbol sequences, so the streaming pipeline can hand the learner its
+// predicate stream without ever materialising the expanded sequence.
+// Resident memory is O(runs + unique segments + unique grams); on the
+// long, repetition-dominated traces the paper targets, runs ≪ length.
 //
-// Equivalence with the expanded path is structural, not tested-in:
-// GenerateModelMulti converts to Seq and delegates here, so there is
-// only one algorithm. The window visitor enumerates window occurrences
-// in position order and skips only a window identical to its
-// predecessor (which segment recording would dedupe anyway), so the
-// first-occurrence order of segments — and therefore the encoding, the
-// solver decisions and the learned automaton — is bit-for-bit the same
-// as scanning the expanded sequence.
+// The window visitor enumerates window occurrences in position order
+// and skips only a window identical to its predecessor (which segment
+// recording would dedupe anyway), so the first-occurrence order of
+// segments — and therefore the encoding, the solver decisions and the
+// learned automaton — is bit-for-bit the same as scanning the expanded
+// sequence.
 package learn
 
 import (
@@ -214,9 +211,13 @@ func (s *rleSeq) firstReject(m *automaton.NFA, symbols []string) int {
 }
 
 // GenerateModelSeqs learns one automaton from several run-length-
-// encoded symbol sequences. It is the engine behind GenerateModelMulti
-// (which expands nothing: it converts and delegates) and the direct
-// entry point for the streaming pipeline.
+// encoded symbol sequences (the canonical predicate keys, or raw event
+// names for event traces) — independent runs of the same system, all
+// starting in the same initial state. Segments, valid l-grams and
+// acceptance constraints are the unions over the runs; the learned
+// model accepts every run from its initial state. This implements the
+// multi-run learning the paper's prospects section motivates
+// (exercising the system several ways to close coverage holes).
 func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if len(inSeqs) == 0 {
@@ -464,9 +465,6 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 			if !deadline.IsZero() && time.Now().After(deadline) {
 				finish()
 				return &Result{Stats: stats}, ErrTimeout
-			}
-			if !opts.NoInprocessing {
-				pf.maybeSimplify()
 			}
 			stats.SolverCalls++
 			cSolves.Add(1)

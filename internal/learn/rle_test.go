@@ -15,6 +15,16 @@ func seqOf(word []string) *Seq {
 	return s
 }
 
+// seqsOf wraps expanded symbol sequences, one run each, as the input
+// GenerateModelSeqs takes.
+func seqsOf(words ...[]string) []*Seq {
+	out := make([]*Seq, len(words))
+	for i, w := range words {
+		out[i] = seqOf(w)
+	}
+	return out
+}
+
 func TestSeqAppendMerges(t *testing.T) {
 	s := NewSeq()
 	s.Append("a", 2)
@@ -94,30 +104,6 @@ func TestRLEExpand(t *testing.T) {
 	}
 	if full := s.expand(0, 9); len(full) != 9 {
 		t.Fatalf("expand(0,9) has %d symbols", len(full))
-	}
-}
-
-func TestGenerateModelSeqsMatchesMulti(t *testing.T) {
-	// The paper-style sender word: long repetition, several symbols.
-	var word []string
-	for i := 0; i < 12; i++ {
-		word = append(word, "send", "ack", "send", "ack", "timeout")
-	}
-	opts := Options{Segmented: true, Workers: 1}
-
-	ref, err := GenerateModelMulti([][]string{word}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := GenerateModelSeqs([]*Seq{seqOf(word)}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs, gs := ref.Automaton.String(), got.Automaton.String(); rs != gs {
-		t.Fatalf("automata diverge:\nmulti:\n%s\nseqs:\n%s", rs, gs)
-	}
-	if ref.Stats.Segments != got.Stats.Segments || ref.Stats.SolverCalls != got.Stats.SolverCalls {
-		t.Fatalf("stats diverge: multi %+v, seqs %+v", ref.Stats, got.Stats)
 	}
 }
 

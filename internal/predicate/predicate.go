@@ -33,7 +33,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/pipeline"
 	"repro/internal/synth"
-	"repro/internal/synthcache"
 	"repro/internal/trace"
 )
 
@@ -62,12 +61,6 @@ type Options struct {
 	// NoMemo disables whole-window memoisation (for the ablation
 	// benches).
 	NoMemo bool
-	// Cache attaches a cross-run synthesis cache (see
-	// internal/synthcache and cache.go): unique-window builds consult
-	// it before enumerating and publish after. Nil disables caching.
-	// Models are byte-identical with the cache cold, warm, shared,
-	// corrupted or disabled.
-	Cache *synthcache.Cache
 	// Context cancels a sequence between observations (checked every
 	// 256) and in-flight synthesis (signal handling). Nil means never
 	// cancelled. Cancellation surfaces as ctx.Err() from the
@@ -106,13 +99,6 @@ type Generator struct {
 	cMemoHits   *pipeline.Counter64
 	cCandidates *pipeline.Counter64
 	hSynthNS    *pipeline.Histogram
-
-	// Cross-run synthesis cache (cache.go); all three are immutable
-	// while a sequence runs. Nil cache means unique windows are
-	// synthesised directly.
-	cache       *synthcache.Cache
-	cachePrefix []byte
-	cacheTypes  map[string]expr.Type
 
 	mu       sync.Mutex
 	memo     map[trace.WindowKey]*Predicate
@@ -184,9 +170,6 @@ func NewGenerator(schema *trace.Schema, opts Options) (*Generator, error) {
 		v := schema.Var(i)
 		g.synthVars = append(g.synthVars, synth.Var{Name: v.Name, Type: v.Type})
 	}
-	if opts.Cache != nil {
-		g.SetSynthCache(opts.Cache)
-	}
 	return g, nil
 }
 
@@ -217,9 +200,6 @@ func (g *Generator) SetTelemetry(tel *pipeline.Telemetry, stage pipeline.SpanID)
 	g.cCandidates = tel.Count("synth_candidates_total")
 	g.hSynthNS = tel.Hist("predicate_window_synth_ns", "ns")
 	g.opts.Synth.Work = g.cCandidates.Raw()
-	if g.cache != nil {
-		g.cache.SetTelemetry(tel)
-	}
 }
 
 // Sequence computes the predicate sequence P = p1 … pk for the trace,
@@ -255,10 +235,7 @@ func (g *Generator) FromWindow(win *trace.Trace) (*Predicate, error) {
 
 // buildUnique runs one unique-window build with its telemetry: the
 // window-synthesis latency histogram and, when tracing, a unit span
-// recording the build's synthesis-call and seed-hit deltas. With a
-// cross-run cache attached the build goes through the cache's
-// lookup/replay/publish path instead of direct synthesis (cache.go);
-// the result and the generator-state evolution are identical. Callers
+// recording the build's synthesis-call and seed-hit deltas. Callers
 // hold g.mu and have already counted the window as unique.
 func (g *Generator) buildUnique(win *trace.Trace) (expr.Expr, error) {
 	tr := g.tel.Trace()
@@ -268,13 +245,7 @@ func (g *Generator) buildUnique(win *trace.Trace) (expr.Expr, error) {
 	}
 	before := g.stats
 	t0 := time.Now()
-	var e expr.Expr
-	var err error
-	if g.cache != nil {
-		e, err = g.buildCached(win)
-	} else {
-		e, err = g.buildExpr(win, g.synthesizeNext)
-	}
+	e, err := g.buildExpr(win)
 	g.hSynthNS.Since(t0)
 	g.tel.Prof().Observe("window", time.Since(t0))
 	if tr.Enabled() {
@@ -287,19 +258,12 @@ func (g *Generator) buildUnique(win *trace.Trace) (expr.Expr, error) {
 	return e, err
 }
 
-// nextFunc synthesises one variable's next function from a window's
-// examples. buildExpr is parameterised on it so the same control flow
-// drives direct synthesis (synthesizeNext) and the replay of a cached
-// record (replayNext) — the two must agree on the sequence of
-// synthesis calls, which this sharing guarantees by construction.
-type nextFunc func(name string, examples []synth.Example) (expr.Expr, error)
-
 // buildExpr constructs the window predicate as a conjunction in schema
 // order: symbolic variables contribute equality guards when their
 // value is constant across the window's step sources; every other
 // variable contributes an update conjunct var' = next(X) with next
 // synthesised from the window's steps. The caller interns the result.
-func (g *Generator) buildExpr(win *trace.Trace, next nextFunc) (expr.Expr, error) {
+func (g *Generator) buildExpr(win *trace.Trace) (expr.Expr, error) {
 	steps := win.Steps()
 	var conjuncts []expr.Expr
 
@@ -345,7 +309,7 @@ func (g *Generator) buildExpr(win *trace.Trace, next nextFunc) (expr.Expr, error
 			}
 			examples[s] = synth.Example{In: in, Out: win.At(s + 1)[vi]}
 		}
-		f, err := g.updateFunction(win, vd, examples, next)
+		f, err := g.updateFunction(win, vd, examples)
 		if err != nil {
 			if errors.Is(err, synth.ErrInconsistent) {
 				// No function fits: fall back to the explicit
@@ -375,7 +339,7 @@ func (g *Generator) buildExpr(win *trace.Trace, next nextFunc) (expr.Expr, error
 			in := map[string]expr.Value{vd.Name: win.At(s)[vi]}
 			examples[s] = synth.Example{In: in, Out: win.At(s + 1)[vi]}
 		}
-		f, err := next(vd.Name, examples)
+		f, err := g.synthesizeNext(vd.Name, examples)
 		if err != nil {
 			if errors.Is(err, synth.ErrInconsistent) {
 				f = nil
@@ -421,10 +385,10 @@ func (g *Generator) uniformSource(win *trace.Trace, vi int) (expr.Value, bool) {
 // x + 1)) instead of window-local minimal fits that memorise one
 // queue length each; the per-value branches are exactly the control
 // structure the guard variables carry.
-func (g *Generator) updateFunction(win *trace.Trace, vd trace.VarDef, examples []synth.Example, next nextFunc) (expr.Expr, error) {
+func (g *Generator) updateFunction(win *trace.Trace, vd trace.VarDef, examples []synth.Example) (expr.Expr, error) {
 	bi := g.branchVar(win)
 	if bi < 0 {
-		return next(vd.Name, examples)
+		return g.synthesizeNext(vd.Name, examples)
 	}
 	bd := g.schema.Var(bi)
 	groups := map[string][]synth.Example{}
@@ -440,7 +404,7 @@ func (g *Generator) updateFunction(win *trace.Trace, vd trace.VarDef, examples [
 		groups[k] = append(groups[k], ex)
 	}
 	if len(groups) < 2 {
-		return next(vd.Name, examples)
+		return g.synthesizeNext(vd.Name, examples)
 	}
 	// Canonical branch order: sorted by value text, so windows that
 	// see the same step set in a different order intern to the same
@@ -448,7 +412,7 @@ func (g *Generator) updateFunction(win *trace.Trace, vd trace.VarDef, examples [
 	sort.Strings(keys)
 	fs := make([]expr.Expr, len(keys))
 	for i, k := range keys {
-		f, err := next(vd.Name, groups[k])
+		f, err := g.synthesizeNext(vd.Name, groups[k])
 		if err != nil {
 			return nil, err
 		}
@@ -496,17 +460,6 @@ func (g *Generator) branchVar(win *trace.Trace) int {
 // predicate happened to be synthesised earlier. Callers hold g.mu.
 func (g *Generator) synthesizeNext(name string, examples []synth.Example) (expr.Expr, error) {
 	g.stats.SynthCalls++
-	f, err := g.searchNext(name, examples)
-	if err != nil {
-		return nil, err
-	}
-	g.noteResult(name, f)
-	return f, nil
-}
-
-// searchNext is the synthesis search of synthesizeNext without the
-// accounting: size-sorted seed pass, then CEGIS. Callers hold g.mu.
-func (g *Generator) searchNext(name string, examples []synth.Example) (expr.Expr, error) {
 	opts := g.opts.Synth
 	opts.DiffVars = []string{name}
 	if !g.opts.NoReuse {
@@ -516,7 +469,12 @@ func (g *Generator) searchNext(name string, examples []synth.Example) (expr.Expr
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return synth.SynthesizeContext(ctx, g.synthVars, examples, opts)
+	f, err := synth.SynthesizeContext(ctx, g.synthVars, examples, opts)
+	if err != nil {
+		return nil, err
+	}
+	g.noteResult(name, f)
+	return f, nil
 }
 
 // sortedSeeds returns a copy of the variable's seed pool ordered

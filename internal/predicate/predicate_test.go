@@ -336,3 +336,29 @@ func TestGeneratorConcurrentUse(t *testing.T) {
 		t.Errorf("windows = %d, want %d", got, 8*want)
 	}
 }
+
+// TestMemoHitNoAllocs pins the hot path: answering a repeated window
+// from the memo must not allocate at all.
+func TestMemoHitNoAllocs(t *testing.T) {
+	tr := intTrace(t, 1, 2, 3)
+	g, err := NewGenerator(tr.Schema(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]trace.ObsID, g.Window())
+	for i := range ids {
+		ids[i] = g.obsIntern.Intern(tr.At(i))
+	}
+	if _, err := g.streamWindow(ids); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		p, err := g.streamWindow(ids)
+		if err != nil || p == nil {
+			t.Fatal("memo hit failed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("memo hit allocates %.1f objects per call, want 0", allocs)
+	}
+}

@@ -21,10 +21,7 @@
 //     every learned clause for the next call; a failed assumption set
 //     yields an UnsatCore, and a call that repeats a prefix of the
 //     previous call's assumptions resumes from its decision levels
-//     instead of re-placing them,
-//   - Simplify: deterministic level-0 inprocessing (satisfied-clause
-//     elimination, false-literal stripping, forward and self-
-//     subsumption) callable between solves.
+//     instead of re-placing them.
 //
 // Clause storage is a flat arena: all literals live contiguously in
 // one slab, clauses are int32 offsets (crefs) into it, and watcher
@@ -122,7 +119,7 @@ const (
 // arena is the flat clause store.
 type arena struct {
 	slab   []Lit
-	wasted int // words occupied by deleted clauses / stripped literals
+	wasted int // words occupied by deleted clauses
 }
 
 func (a *arena) alloc(lits []Lit, learnt bool) cref {
@@ -140,12 +137,9 @@ func (a *arena) alloc(lits []Lit, learnt bool) cref {
 
 func (a *arena) size(c cref) int    { return int(a.slab[c]) >> hdrSizeShift }
 func (a *arena) learnt(c cref) bool { return a.slab[c]&hdrLearnt != 0 }
-func (a *arena) deleted(c cref) bool {
-	return a.slab[c]&hdrDeleted != 0
-}
 
 // litsOf returns the clause's literal slice, borrowed from the slab
-// (mutations — watch swaps, strengthening — write through).
+// (mutations — watch swaps — write through).
 func (a *arena) litsOf(c cref) []Lit {
 	off := int(c) + 1
 	if a.slab[c]&hdrLearnt != 0 {
@@ -175,14 +169,6 @@ func (a *arena) setActivity(c cref, f float32) {
 func (a *arena) del(c cref) {
 	a.wasted += a.words(c)
 	a.slab[c] |= hdrDeleted
-}
-
-// shrink drops the clause's literals beyond the first n; the dropped
-// words become wasted.
-func (a *arena) shrink(c cref, n int) {
-	old := a.size(c)
-	a.wasted += old - n
-	a.slab[c] = Lit(n<<hdrSizeShift) | (a.slab[c] & (hdrLearnt | hdrDeleted))
 }
 
 // watcher is one entry of a literal's watch list: the watched clause
@@ -268,9 +254,6 @@ type Stats struct {
 	Restarts     int64
 	Learned      int64
 	Deleted      int64
-	Simplifies   int64 // Simplify passes run
-	Subsumed     int64 // clauses removed by subsumption or satisfaction
-	Strengthened int64 // literals removed by self-subsumption/stripping
 	Compactions  int64 // arena re-pack passes
 }
 
@@ -284,9 +267,6 @@ func (s Stats) Minus(o Stats) Stats {
 		Restarts:     s.Restarts - o.Restarts,
 		Learned:      s.Learned - o.Learned,
 		Deleted:      s.Deleted - o.Deleted,
-		Simplifies:   s.Simplifies - o.Simplifies,
-		Subsumed:     s.Subsumed - o.Subsumed,
-		Strengthened: s.Strengthened - o.Strengthened,
 		Compactions:  s.Compactions - o.Compactions,
 	}
 }
@@ -300,10 +280,6 @@ func New() *Solver {
 
 // NumVars returns the number of variables created so far.
 func (s *Solver) NumVars() int { return len(s.assign) }
-
-// NumClauses returns the number of stored clauses — problem plus
-// learned. Inprocessing schedules itself on the growth of this count.
-func (s *Solver) NumClauses() int { return len(s.clauses) + len(s.learnts) }
 
 // NewVar creates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
@@ -342,8 +318,7 @@ func (s *Solver) value(l Lit) lbool {
 }
 
 // Value returns the model value of variable v after a Sat result. The
-// model stays readable until the next AddClause, Simplify or solve
-// call. After an Unsat result caused by a failed assumption the trail
+// model stays readable until the next AddClause or solve call. After an Unsat result caused by a failed assumption the trail
 // still holds the assumption levels SolveAssuming keeps for its next
 // call, so Value then reports a partial assignment, not a model.
 func (s *Solver) Value(v int) bool { return s.assign[v] == lTrue }
@@ -423,8 +398,8 @@ func (s *Solver) attach(c cref) {
 	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c: c, blocker: lits[0]})
 }
 
-// detach removes the clause's two watchers.
-func (s *Solver) detach(c cref) {
+// removeClause removes c's two watchers and arena-deletes it.
+func (s *Solver) removeClause(c cref) {
 	lits := s.ar.litsOf(c)
 	for _, w := range [2]Lit{lits[0].Not(), lits[1].Not()} {
 		list := s.watches[w]
@@ -436,11 +411,6 @@ func (s *Solver) detach(c cref) {
 			}
 		}
 	}
-}
-
-// removeClause detaches and arena-deletes c.
-func (s *Solver) removeClause(c cref) {
-	s.detach(c)
 	s.ar.del(c)
 }
 
@@ -810,8 +780,8 @@ func quickMedian(xs []float64) float64 {
 	return xs[k]
 }
 
-// maybeCompact re-packs the arena when deleted clauses and stripped
-// literals waste more than half of it. Compaction allocates a fresh
+// maybeCompact re-packs the arena when deleted clauses waste more
+// than half of it. Compaction allocates a fresh
 // slab sized to the live data, relocates problem clauses then learnts
 // in list order (so relocation is deterministic), and rewrites every
 // cref holder: the clause lists, the watcher lists, and the reasons of
@@ -841,17 +811,12 @@ func (s *Solver) maybeCompact() {
 			s.watches[i][j].c = remap[s.watches[i][j].c]
 		}
 	}
+	// reduceDB never deletes a reason of a current assignment
+	// (locked), so every reason on the trail has been relocated.
 	for _, l := range s.trail {
 		v := l.Var()
 		if r := s.reason[v]; r != crefUndef {
-			if nc, ok := remap[r]; ok {
-				s.reason[v] = nc
-			} else {
-				// A level-0 reason whose clause was removed by
-				// inprocessing; level-0 assignments are permanent, so
-				// the reason is never consulted again.
-				s.reason[v] = crefUndef
-			}
+			s.reason[v] = remap[r]
 		}
 	}
 }
@@ -878,9 +843,9 @@ func (s *Solver) Solve() Status { return s.SolveAssuming() }
 // extend one prefix — canonical model extraction in internal/learn —
 // propagates that prefix once. The kept levels are exactly the state a
 // backjump to that level would leave: fully propagated under the
-// current clauses. AddClause, Simplify, an Unknown result and every
-// restart drop back to level 0, so no kept level outlives a change to
-// the clause set.
+// current clauses. AddClause, an Unknown result and every restart
+// drop back to level 0, so no kept level outlives a change to the
+// clause set.
 func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 	s.stop.Store(false)
 	s.core = nil
@@ -1060,213 +1025,6 @@ func (s *Solver) analyzeFinal(p Lit) {
 		s.seen[v] = false
 	}
 	s.seen[p.Var()] = false
-}
-
-// subsumeBudget caps the literal comparisons one Simplify pass spends
-// on subsumption, so inprocessing stays a bounded, deterministic slice
-// of the solve time regardless of formula size.
-const subsumeBudget = 4_000_000
-
-// Simplify performs deterministic level-0 inprocessing between
-// solves: satisfied-clause elimination, false-literal stripping, and
-// forward plus self-subsumption over the problem clauses. It preserves
-// logical equivalence of the formula (every model before is a model
-// after, restricted to the same clauses), so callers may interleave it
-// freely with Solve/SolveAssuming. Returns false when the formula is
-// found unsatisfiable at the top level.
-func (s *Solver) Simplify() bool {
-	if !s.ok {
-		return false
-	}
-	s.backtrack(0)
-	if s.propagate() != crefUndef {
-		s.ok = false
-		return false
-	}
-	s.Stats.Simplifies++
-	// Level-0 assignments are permanent and conflict analysis skips
-	// level-0 variables, so their reasons are never consulted again.
-	// Clearing them now lets elimination drop those clauses without
-	// leaving dangling crefs behind.
-	for _, l := range s.trail {
-		s.reason[l.Var()] = crefUndef
-	}
-	s.clauses = s.simplifyList(s.clauses)
-	s.learnts = s.simplifyList(s.learnts)
-	if s.ok {
-		s.subsume()
-	}
-	s.maybeCompact()
-	return s.ok
-}
-
-// simplifyList drops clauses satisfied at level 0 and strips false
-// literals from the rest. Watched literals are never false here: after
-// full level-0 propagation a clause with a false watch is either
-// satisfied or would have propagated, so stripping only touches
-// positions ≥ 2 and the watchers stay valid.
-func (s *Solver) simplifyList(list []cref) []cref {
-	kept := list[:0]
-	for _, c := range list {
-		lits := s.ar.litsOf(c)
-		satisfied := false
-		for _, l := range lits {
-			if s.value(l) == lTrue {
-				satisfied = true
-				break
-			}
-		}
-		if satisfied {
-			s.removeClause(c)
-			s.Stats.Subsumed++
-			continue
-		}
-		j := 0
-		for _, l := range lits {
-			if s.value(l) != lFalse {
-				lits[j] = l
-				j++
-			}
-		}
-		if j < len(lits) {
-			s.Stats.Strengthened += int64(len(lits) - j)
-			s.ar.shrink(c, j)
-		}
-		kept = append(kept, c)
-	}
-	return kept
-}
-
-// subsume runs forward and self-subsumption over the problem clauses:
-// a clause C subsumes D when C ⊆ D (D is removed); when C becomes a
-// subset of D after flipping exactly one literal p, resolution on p
-// strengthens D by removing ¬p. Candidate pairs come from occurrence
-// lists on the least-frequent variable of C, pre-filtered by 64-bit
-// variable signatures; iteration order is list order throughout, so
-// the pass is deterministic.
-func (s *Solver) subsume() {
-	nv := s.NumVars()
-	occ := make([][]cref, nv)
-	sigs := make(map[cref]uint64, len(s.clauses))
-	for _, c := range s.clauses {
-		var sig uint64
-		for _, l := range s.ar.litsOf(c) {
-			occ[l.Var()] = append(occ[l.Var()], c)
-			sig |= 1 << (uint(l.Var()) & 63)
-		}
-		sigs[c] = sig
-	}
-	budget := subsumeBudget
-	for _, c := range s.clauses {
-		if s.ar.deleted(c) {
-			continue
-		}
-		clits := s.ar.litsOf(c)
-		// Scan the occurrence list of c's least-frequent variable:
-		// every clause containing all of c's literals is in it.
-		mv := clits[0].Var()
-		var csig uint64
-		for _, l := range clits {
-			if len(occ[l.Var()]) < len(occ[mv]) {
-				mv = l.Var()
-			}
-			csig |= 1 << (uint(l.Var()) & 63)
-		}
-		for _, d := range occ[mv] {
-			if d == c || s.ar.deleted(d) || s.ar.deleted(c) {
-				continue
-			}
-			if budget <= 0 {
-				return
-			}
-			dlits := s.ar.litsOf(d)
-			if len(dlits) < len(clits) || csig&^sigs[d] != 0 {
-				continue
-			}
-			budget -= len(dlits)
-			flip, ok := subsumes(clits, dlits)
-			if !ok {
-				continue
-			}
-			if flip == -1 {
-				s.removeClause(d)
-				s.Stats.Subsumed++
-				continue
-			}
-			if !s.strengthen(d, flip) {
-				return
-			}
-			// c's own literals may have changed if d's strengthening
-			// propagated a unit that falsified one of them; re-read.
-			if s.ar.deleted(c) {
-				break
-			}
-			clits = s.ar.litsOf(c)
-		}
-	}
-	kept := s.clauses[:0]
-	for _, c := range s.clauses {
-		if !s.ar.deleted(c) {
-			kept = append(kept, c)
-		}
-	}
-	s.clauses = kept
-}
-
-// subsumes checks C ⊆ D modulo at most one flipped literal. It returns
-// (-1, true) for plain subsumption, (q, true) when exactly one literal
-// of C appears in D as its negation q (strengthen D by removing q),
-// and (_, false) otherwise.
-func subsumes(c, d []Lit) (Lit, bool) {
-	var flip Lit = -1
-	for _, p := range c {
-		exact, neg := false, false
-		for _, q := range d {
-			if q == p {
-				exact = true
-				break
-			}
-			if q == p.Not() {
-				neg = true
-			}
-		}
-		if exact {
-			continue
-		}
-		if neg && flip == -1 {
-			flip = p.Not()
-			continue
-		}
-		return -1, false
-	}
-	return flip, true
-}
-
-// strengthen removes literal q from clause d at level 0, re-watching
-// or — when d becomes unit — propagating. Returns false when the
-// propagation exposes top-level unsatisfiability.
-func (s *Solver) strengthen(d cref, q Lit) bool {
-	s.detach(d)
-	lits := s.ar.litsOf(d)
-	j := 0
-	for _, l := range lits {
-		if l != q {
-			lits[j] = l
-			j++
-		}
-	}
-	s.ar.shrink(d, j)
-	s.Stats.Strengthened++
-	if j == 1 {
-		s.ar.del(d)
-		if !s.enqueue(lits[0], crefUndef) || s.propagate() != crefUndef {
-			s.ok = false
-			return false
-		}
-		return true
-	}
-	s.attach(d)
-	return true
 }
 
 // varHeap is a max-heap of variables ordered by activity.

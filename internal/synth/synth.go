@@ -127,13 +127,13 @@ func SynthesizeContext(ctx context.Context, vars []Var, examples []Example, opts
 	if len(examples) == 0 {
 		return nil, errors.New("synth: no examples")
 	}
-	if err := CheckExamples(examples); err != nil {
+	if err := checkConsistent(examples); err != nil {
 		return nil, err
 	}
 	// Seed pass: reuse a previously synthesised expression when it
 	// already explains this window.
 	for _, seed := range opts.Seeds {
-		if ConsistentWith(seed, examples) {
+		if consistent(seed, examples) {
 			return seed, nil
 		}
 	}
@@ -167,30 +167,15 @@ func Enumerate(vars []Var, examples []Example, opts Options) (expr.Expr, error) 
 	if len(examples) == 0 {
 		return nil, errors.New("synth: no examples")
 	}
-	if err := CheckExamples(examples); err != nil {
+	if err := checkConsistent(examples); err != nil {
 		return nil, err
 	}
 	pools := minePools(vars, examples, opts)
 	return enumerate(context.Background(), vars, examples, pools, opts)
 }
 
-// CheckExamples rejects example sets no function can fit: two examples
-// with the same input valuation but different outputs. Synthesize runs
-// it before its seed pass, so callers replaying the seed pass (the
-// synthesis-cache replay in internal/predicate) can reproduce the error
-// order exactly.
-func CheckExamples(examples []Example) error {
-	return checkConsistent(examples)
-}
-
-// ConsistentWith reports whether the expression matches every example
-// — the predicate the seed pass uses. Exposed so the synthesis-cache
-// replay in internal/predicate can replay seed decisions
-// deterministically.
-func ConsistentWith(e expr.Expr, examples []Example) bool {
-	return consistent(e, examples)
-}
-
+// checkConsistent rejects example sets no function can fit: two
+// examples with the same input valuation but different outputs.
 func checkConsistent(examples []Example) error {
 	seen := make(map[string]expr.Value, len(examples))
 	for _, ex := range examples {
@@ -223,6 +208,8 @@ func inputKey(in map[string]expr.Value) string {
 	return b.String()
 }
 
+// consistent reports whether the expression matches every example —
+// the predicate the seed pass uses.
 func consistent(e expr.Expr, examples []Example) bool {
 	for _, ex := range examples {
 		v, err := e.Eval(ex)

@@ -42,7 +42,6 @@ import (
 	"repro/internal/predicate"
 	"repro/internal/statemerge"
 	"repro/internal/synth"
-	"repro/internal/synthcache"
 	"repro/internal/trace"
 )
 
@@ -89,19 +88,7 @@ type (
 	// Manifest is the per-run artifact written by -manifest: config,
 	// stage metrics, histogram summaries, model statistics, digests.
 	Manifest = pipeline.Manifest
-	// SynthCache is an on-disk, content-addressed cache of
-	// window-predicate synthesis, shareable between concurrent runs and
-	// across processes; attach one via LearnOptions.SynthCache (see
-	// internal/synthcache). Caching never changes learned models.
-	SynthCache = synthcache.Cache
-	// SynthCacheStats is a snapshot of a cache's hit/miss/store/corrupt
-	// counters.
-	SynthCacheStats = synthcache.Stats
 )
-
-// OpenSynthCache opens (creating if needed) the synthesis cache rooted
-// at dir.
-func OpenSynthCache(dir string) (*SynthCache, error) { return synthcache.Open(dir) }
 
 // Telemetry constructors and helpers, re-exported for embedders.
 var (
@@ -183,13 +170,6 @@ type LearnOptions struct {
 	Workers int
 	// Synth tunes the predicate synthesizer.
 	Synth synth.Options
-	// SynthCache attaches a cross-run synthesis cache: unique windows
-	// are looked up before synthesising and published after, so runs
-	// sharing a cache directory synthesise each distinct window once
-	// fleet-wide. Nil disables caching. The learned model is
-	// byte-identical with the cache cold, warm, shared, corrupted or
-	// disabled (see internal/synthcache).
-	SynthCache *SynthCache
 	// Telemetry attaches a run tracer and metric registry to the
 	// pipeline (see Telemetry). Nil disables all recording at
 	// near-zero cost; telemetry never changes learned models.
@@ -353,7 +333,6 @@ func NewPipeline(schema *Schema, opts LearnOptions) (*Pipeline, error) {
 		Predicate: predicate.Options{
 			Window: opts.PredicateWindow,
 			Synth:  opts.Synth,
-			Cache:  opts.SynthCache,
 		},
 		Learn: learn.Options{
 			Window:             opts.SegmentWindow,

@@ -172,6 +172,11 @@ func (d *ckptDriver) restore() (*learn.Seq, map[string]*predicate.Predicate, *le
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: resume: %w", err)
 	}
+	// Every consumed observation but the first w−1 completed one
+	// window, so a run log of any other length is not this run's.
+	if want := max(st.Offset+1-int64(d.p.gen.Window()), 0); int64(seq.Len()) != want {
+		return nil, nil, nil, fmt.Errorf("core: resume: run log holds %d windows, but offset %d implies %d", seq.Len(), st.Offset, want)
+	}
 	return seq, alphabet, st.Learn, nil
 }
 

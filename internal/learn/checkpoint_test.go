@@ -2,7 +2,9 @@ package learn
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 func TestSeqStateRoundTrip(t *testing.T) {
@@ -79,6 +81,38 @@ func TestResumeFromEveryRound(t *testing.T) {
 		}
 		if got := res.Automaton.String(); got != want {
 			t.Errorf("resume from round %d (N=%d) diverged:\nwant:\n%s\ngot:\n%s", i, st.N, want, got)
+		}
+	}
+}
+
+// TestResumeRejectsBadGramLength: every gram a search blocks has the
+// compliance length l, so a resumed gram of another length is corrupt.
+// Blocking a k-gram enumerates capacity^(k+1) state paths before any
+// deadline check, so resume must refuse it before building an encoding:
+// a 12-gram at capacity 5 would otherwise run out of memory.
+func TestResumeRejectsBadGramLength(t *testing.T) {
+	P := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	for _, k := range []int{3, 1, 12} {
+		st := &CheckpointState{
+			N:        5,
+			Blocked:  [][]int{make([]int, k)},
+			Segments: [][]int{{0, 1, 2}},
+			Anchored: []bool{true},
+		}
+		start := time.Now()
+		_, err := GenerateModelSeqs(seqsOf(P), Options{
+			Segmented: true,
+			Timeout:   2 * time.Second,
+			Resume:    st,
+		})
+		if err == nil {
+			t.Fatalf("resume accepted a %d-gram at l = 2", k)
+		}
+		if !strings.HasPrefix(err.Error(), "learn: resume blocked gram 0 has length") {
+			t.Fatalf("%d-gram: got %v, want a learn: resume error", k, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%d-gram: rejection took %v", k, d)
 		}
 	}
 }

@@ -379,6 +379,11 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 	if opts.Resume != nil {
 		st := opts.Resume
 		for i, g := range st.Blocked {
+			// Blocking a gram enumerates capacity^(len+1) state paths,
+			// so a wrong length must fail here, not in the encoder.
+			if len(g) != l {
+				return nil, fmt.Errorf("learn: resume blocked gram %d has length %d, want the compliance length %d", i, len(g), l)
+			}
 			for _, id := range g {
 				if id < 0 || id >= len(symbols) {
 					return nil, fmt.Errorf("learn: resume blocked gram %d references symbol %d of %d", i, id, len(symbols))

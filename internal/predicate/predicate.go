@@ -100,8 +100,13 @@ type Generator struct {
 	cCandidates *pipeline.Counter64
 	hSynthNS    *pipeline.Histogram
 
-	mu       sync.Mutex
-	memo     map[trace.WindowKey]*Predicate
+	mu sync.Mutex
+	// memo maps a window's content to its predicate and dense window
+	// index. Entries are never evicted and nwins only grows, so an
+	// index names one window content for the generator's life (nwins
+	// is not len(memo): Restore may write one key twice).
+	memo     map[trace.WindowKey]memoWindow
+	nwins    int32
 	interned map[string]*Predicate
 	seeds    map[string][]expr.Expr // per-variable next-function seeds
 	stats    Stats
@@ -162,7 +167,7 @@ func NewGenerator(schema *trace.Schema, opts Options) (*Generator, error) {
 		opts:      opts,
 		w:         w,
 		obsIntern: trace.NewInterner(),
-		memo:      map[trace.WindowKey]*Predicate{},
+		memo:      map[trace.WindowKey]memoWindow{},
 		interned:  map[string]*Predicate{},
 		seeds:     map[string][]expr.Expr{},
 	}
@@ -230,7 +235,8 @@ func (g *Generator) FromWindow(win *trace.Trace) (*Predicate, error) {
 	for i := range ids {
 		ids[i] = g.obsIntern.Intern(win.At(i))
 	}
-	return g.streamWindow(ids)
+	m, err := g.streamWindow(ids)
+	return m.p, err
 }
 
 // buildUnique runs one unique-window build with its telemetry: the
@@ -533,6 +539,22 @@ func explicitRelation(schema *trace.Schema, win *trace.Trace, vi int) expr.Expr 
 		}
 	}
 	return disj
+}
+
+// memoWindow is a memoised window: its predicate and its dense window
+// index, or index -1 for a window resolved with NoMemo.
+type memoWindow struct {
+	p *Predicate
+	w int32
+}
+
+// memoise records a window's predicate under the next dense window
+// index. Callers hold g.mu.
+func (g *Generator) memoise(key trace.WindowKey, p *Predicate) memoWindow {
+	m := memoWindow{p: p, w: g.nwins}
+	g.nwins++
+	g.memo[key] = m
+	return m
 }
 
 // intern returns the canonical *Predicate for the expression. Callers

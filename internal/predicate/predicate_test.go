@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
@@ -293,8 +294,9 @@ func TestEventTraceWiderWindow(t *testing.T) {
 // TestGeneratorConcurrentUse hammers one Generator from many
 // goroutines (run under -race in CI). Interleaved calls may observe
 // different seed orders, so the test checks safety and soundness, not
-// cross-call determinism: no data race, every sequence sound, and
-// interning consistent within each result.
+// cross-call determinism: no data race, every sequence sound,
+// interning consistent within each result, and exact window totals in
+// Stats and the registry.
 func TestGeneratorConcurrentUse(t *testing.T) {
 	vals := []int64{1, 2, 3, 4, 5, 4, 3, 2, 1, 2, 3, 4, 5, 4, 3, 2, 1}
 	tr := intTrace(t, vals...)
@@ -302,6 +304,8 @@ func TestGeneratorConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := pipeline.NewRegistry()
+	g.SetTelemetry(&pipeline.Telemetry{Registry: reg}, 0)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -332,8 +336,12 @@ func TestGeneratorConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 	want := tr.Len() + 1 - g.Window()
-	if got := g.Stats().Windows; got != 8*want {
-		t.Errorf("windows = %d, want %d", got, 8*want)
+	st := g.Stats()
+	if st.Windows != 8*want || st.MemoHits+st.UniqueWindows != st.Windows {
+		t.Errorf("stats %+v, want %d windows", st, 8*want)
+	}
+	if c := reg.CounterValues(); c["predicate_windows_total"] != int64(st.Windows) || c["predicate_memo_hits_total"] != int64(st.MemoHits) {
+		t.Errorf("registry %v, stats %+v", c, st)
 	}
 }
 
@@ -353,8 +361,8 @@ func TestMemoHitNoAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		p, err := g.streamWindow(ids)
-		if err != nil || p == nil {
+		m, err := g.streamWindow(ids)
+		if err != nil || m.p == nil {
 			t.Fatal("memo hit failed")
 		}
 	})

@@ -89,13 +89,13 @@ func (g *Generator) Snapshot() *SnapshotState {
 	}
 
 	st.Memo = make([]MemoEntry, 0, len(g.memo))
-	for key, p := range g.memo {
+	for key, m := range g.memo {
 		ids := key.IDs()
 		ids32 := make([]int32, len(ids))
 		for i, id := range ids {
 			ids32[i] = int32(id)
 		}
-		st.Memo = append(st.Memo, MemoEntry{IDs: ids32, Pred: predIdx[p.Key]})
+		st.Memo = append(st.Memo, MemoEntry{IDs: ids32, Pred: predIdx[m.p.Key]})
 	}
 	sort.Slice(st.Memo, func(i, j int) bool {
 		a, b := st.Memo[i].IDs, st.Memo[j].IDs
@@ -183,7 +183,7 @@ func (g *Generator) Restore(st *SnapshotState) (map[string]*Predicate, error) {
 			}
 			ids[i] = trace.ObsID(id)
 		}
-		g.memo[trace.MakeWindowKey(ids)] = preds[me.Pred]
+		g.memoise(trace.MakeWindowKey(ids), preds[me.Pred])
 	}
 
 	for _, se := range st.Seeds {

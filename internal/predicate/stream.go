@@ -5,9 +5,10 @@
 //
 // This serial pass is the only windower. Observations are interned in
 // stream order (through the source's own raw-record id cache when it
-// is a trace.IDSource), and each window takes the memo-or-build branch
-// against the generator state, so the output, the interning, the
-// seed-pool evolution, the stats and the first error are fixed by the
+// is a trace.IDSource), and each window the pass's transition table
+// does not already resolve takes the memo-or-build branch against the
+// generator state, so the output, the interning, the seed-pool
+// evolution, the stats and the first error are fixed by the
 // observation sequence alone.
 package predicate
 
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
@@ -34,15 +36,19 @@ type Run struct {
 // emit is called serially, in sequence order; an emit error aborts the
 // stream and is returned verbatim. With Options.Context set, the pass
 // checks it every 256 observations and returns its error once it is
-// done.
+// done. The registry counters include every window resolved so far
+// whenever the pass reads src, and the generator's Stats do too
+// whenever emit is called and when the pass returns.
 func (g *Generator) SequenceSource(src trace.Source, emit func(Run) error) error {
 	if !src.Schema().Equal(g.schema) {
 		return errNoSchema
 	}
 	g.mu.Lock()
 	ctx := g.opts.Context
+	ps := &pass{g: g, emit: emit, next: map[uint64]memoWindow{}, cur: -1,
+		cWindows: g.cWindows, cMemoHits: g.cMemoHits}
 	g.mu.Unlock()
-	em := &runEmitter{emit: emit}
+	defer ps.countHits()
 	ids := make([]trace.ObsID, 0, g.w)
 	seen := 0
 	nextID := g.nextIDFunc(src)
@@ -65,48 +71,114 @@ func (g *Generator) SequenceSource(src trace.Source, emit func(Run) error) error
 		if !full {
 			continue
 		}
-		p, err := g.streamWindow(ids)
+		p, err := ps.window(ids)
 		if err != nil {
 			return fmt.Errorf("predicate: window at observation %d: %w", seen-g.w, err)
 		}
-		if err := em.add(p); err != nil {
+		if err := ps.add(p); err != nil {
 			return err
 		}
 	}
 	if seen < g.w {
 		return fmt.Errorf("predicate: trace length %d shorter than window %d", seen, g.w)
 	}
-	return em.flush()
+	return ps.flush()
 }
 
 var errNoSchema = fmt.Errorf("predicate: trace schema does not match generator schema")
 
-// runEmitter folds a stream of per-window predicates into maximal runs.
-type runEmitter struct {
-	emit  func(Run) error
-	pred  *Predicate
+// pass is the state of one SequenceSource call: the window-transition
+// table, the run being folded, and the table hits not yet added to the
+// generator's Stats.
+//
+// Windows are numbered by their dense memo index, which fixes their
+// content, so (current window, next observation id) fixes the next
+// window's content. The table maps that pair to the next window's memo
+// value once streamWindow has resolved it. Memo entries are never
+// evicted, so a table hit is exactly the memo hit streamWindow would
+// count, and it costs one integer-keyed lookup instead of a window key,
+// a struct hash and g.mu. The table is private to the pass, so a hit
+// takes no lock; with NoMemo streamWindow returns no index and every
+// window is rebuilt.
+type pass struct {
+	g    *Generator
+	emit func(Run) error
+
+	next map[uint64]memoWindow // (window, next observation id) → next window
+	cur  int32                 // index of the current window; -1 if none
+	hits int                   // table hits not yet counted in g.stats
+
+	// The registry counters, taken with the options when the pass
+	// starts. A hit adds to them at once, so a scrape of a pass that
+	// stays on one predicate still sees progress.
+	cWindows, cMemoHits *pipeline.Counter64
+
+	pred  *Predicate // the run being folded
 	count int
 }
 
-func (e *runEmitter) add(p *Predicate) error {
-	if p == e.pred {
-		e.count++
+// window resolves the window ids ends with: from the table when the
+// transition from the current window is known, else through
+// streamWindow, recording the transition.
+func (ps *pass) window(ids []trace.ObsID) (*Predicate, error) {
+	t := uint64(uint32(ps.cur))<<32 | uint64(uint32(ids[len(ids)-1]))
+	if ps.cur >= 0 {
+		if m, ok := ps.next[t]; ok {
+			ps.cur = m.w
+			ps.hits++
+			ps.cWindows.Add(1)
+			ps.cMemoHits.Add(1)
+			return m.p, nil
+		}
+	}
+	m, err := ps.g.streamWindow(ids)
+	if err != nil {
+		return nil, err
+	}
+	if ps.cur >= 0 && m.w >= 0 {
+		ps.next[t] = m
+	}
+	ps.cur = m.w
+	return m.p, nil
+}
+
+// countHits adds the pending table hits to the generator's Stats, as
+// the memo hits they are.
+func (ps *pass) countHits() {
+	if ps.hits == 0 {
+		return
+	}
+	g := ps.g
+	g.mu.Lock()
+	g.stats.Windows += ps.hits
+	g.stats.MemoHits += ps.hits
+	g.mu.Unlock()
+	ps.hits = 0
+}
+
+// add folds one window's predicate into the maximal runs, emitting the
+// previous run when the predicate changes.
+func (ps *pass) add(p *Predicate) error {
+	if p == ps.pred {
+		ps.count++
 		return nil
 	}
-	if err := e.flush(); err != nil {
+	if err := ps.flush(); err != nil {
 		return err
 	}
-	e.pred, e.count = p, 1
+	ps.pred, ps.count = p, 1
 	return nil
 }
 
-func (e *runEmitter) flush() error {
-	if e.count == 0 {
+// flush counts the pending hits and emits the run being folded, if any.
+func (ps *pass) flush() error {
+	ps.countHits()
+	if ps.count == 0 {
 		return nil
 	}
-	r := Run{Pred: e.pred, Count: e.count}
-	e.pred, e.count = nil, 0
-	return e.emit(r)
+	r := Run{Pred: ps.pred, Count: ps.count}
+	ps.pred, ps.count = nil, 0
+	return ps.emit(r)
 }
 
 // slide appends id to the window ids, dropping the oldest id once the
@@ -150,29 +222,29 @@ func (g *Generator) nextIDFunc(src trace.Source) func() (trace.ObsID, error) {
 }
 
 // streamWindow resolves one window given its interned ids: a memo hit,
-// or materialise, build, intern and memoise. The memo key is ignored
-// when memoisation is off.
-func (g *Generator) streamWindow(ids []trace.ObsID) (*Predicate, error) {
+// or materialise, build, intern and memoise. With NoMemo the returned
+// window index is -1.
+func (g *Generator) streamWindow(ids []trace.ObsID) (memoWindow, error) {
 	key := trace.MakeWindowKey(ids)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.stats.Windows++
 	g.cWindows.Add(1)
 	if !g.opts.NoMemo {
-		if p, ok := g.memo[key]; ok {
+		if m, ok := g.memo[key]; ok {
 			g.stats.MemoHits++
 			g.cMemoHits.Add(1)
-			return p, nil
+			return m, nil
 		}
 	}
 	g.stats.UniqueWindows++
 	e, err := g.buildUnique(g.materialize(ids))
 	if err != nil {
-		return nil, err
+		return memoWindow{w: -1}, err
 	}
 	p := g.intern(e)
-	if !g.opts.NoMemo {
-		g.memo[key] = p
+	if g.opts.NoMemo {
+		return memoWindow{p: p, w: -1}, nil
 	}
-	return p, nil
+	return g.memoise(key, p), nil
 }

@@ -13,7 +13,11 @@ import (
 
 // mixedTrace is a small trace exercising memo hits, seed reuse and the
 // wrap fallback: a mod-4 counter with an event variable.
-func mixedTrace(t *testing.T, n int) *trace.Trace {
+func mixedTrace(t *testing.T, n int) *trace.Trace { return periodicTrace(t, n, 4) }
+
+// periodicTrace is a mod-period counter with an event that marks the
+// wrap, so most windows of a long period repeat the run before them.
+func periodicTrace(t *testing.T, n, period int) *trace.Trace {
 	t.Helper()
 	schema := trace.MustSchema(
 		trace.VarDef{Name: "count", Type: expr.Int},
@@ -22,10 +26,10 @@ func mixedTrace(t *testing.T, n int) *trace.Trace {
 	tr := trace.New(schema)
 	for i := 0; i < n; i++ {
 		ev := "tick"
-		if i%4 == 3 {
+		if i%period == period-1 {
 			ev = "wrap"
 		}
-		tr.MustAppend(trace.Observation{expr.IntVal(int64(i % 4)), expr.SymVal(ev)})
+		tr.MustAppend(trace.Observation{expr.IntVal(int64(i % period)), expr.SymVal(ev)})
 	}
 	return tr
 }

@@ -290,13 +290,13 @@ func BenchmarkFtraceParse(b *testing.B) {
 	_ = trace.EventSchema()
 }
 
-// --- Model construction: scratch vs incremental vs portfolio --------
+// --- Model construction: scratch vs incremental ---------------------
 
 // benchGenerateModel isolates SAT-based model construction (no
 // predicate stage) on the serial-port predicate sequence, the
 // refinement-heaviest benchmark case. Canonical model extraction makes
-// all three variants learn the identical automaton; only the work to
-// get there differs.
+// both variants learn the identical automaton; only the work to get
+// there differs.
 func benchGenerateModel(b *testing.B, opts learn.Options) {
 	b.Helper()
 	c, err := experiments.CaseByName("Serial I/O Port")
@@ -328,9 +328,6 @@ func BenchmarkGenerateModelScratch(b *testing.B) {
 }
 func BenchmarkGenerateModelIncremental(b *testing.B) {
 	benchGenerateModel(b, learn.Options{})
-}
-func BenchmarkGenerateModelPortfolio(b *testing.B) {
-	benchGenerateModel(b, learn.Options{Portfolio: 4, Workers: 4})
 }
 
 // BenchmarkAblationSymmetry measures the learner with the

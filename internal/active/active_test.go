@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/active"
 	"repro/internal/core"
-	"repro/internal/learn"
 	"repro/internal/pipeline"
 	"repro/internal/systems"
 	"repro/internal/trace"
@@ -56,8 +55,7 @@ func roundSummary(rounds []active.Round) string {
 // each simulated system, starting from a model learned on a
 // deliberately truncated trace, the active loop stabilizes within the
 // round budget and the final model is byte-identical to the model
-// learned passively from the full canonical trace — with the serial
-// solver and with the portfolio solver on.
+// learned passively from the full canonical trace.
 func TestRefineReachesPassiveFixpoint(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -80,52 +78,34 @@ func TestRefineReachesPassiveFixpoint(t *testing.T) {
 			ref := learnPassive(t, full, core.Options{})
 			seed := full.Slice(0, tc.truncate)
 
-			configs := []struct {
-				label     string
-				portfolio int
-			}{
-				{"serial-solver", 0},
-				{"portfolio", 2},
+			res, err := active.Refine(sys, seed, core.Options{}, active.Options{ProbeCap: n})
+			if err != nil {
+				t.Fatal(err)
 			}
-			var baseline string
-			for _, cfg := range configs {
-				copts := core.Options{Learn: learn.Options{Portfolio: cfg.portfolio}}
-				res, err := active.Refine(sys, seed, copts, active.Options{ProbeCap: n})
-				if err != nil {
-					t.Fatalf("%s: %v", cfg.label, err)
+			if !res.Stabilized {
+				t.Fatalf("did not stabilize in %d rounds:\n%s", len(res.Rounds), roundSummary(res.Rounds))
+			}
+			diverged := 0
+			for _, r := range res.Rounds {
+				if !r.Verdict.Conforms {
+					diverged++
 				}
-				if !res.Stabilized {
-					t.Fatalf("%s: did not stabilize in %d rounds:\n%s",
-						cfg.label, len(res.Rounds), roundSummary(res.Rounds))
-				}
-				diverged := 0
-				for _, r := range res.Rounds {
-					if !r.Verdict.Conforms {
-						diverged++
-					}
-				}
-				if diverged == 0 {
-					t.Errorf("%s: truncated seed produced no diverging round", cfg.label)
-				}
-				if got, want := res.Model.Automaton.String(), ref.Automaton.String(); got != want {
-					t.Errorf("%s: stabilized model differs from passive full-trace model:\ngot:\n%s\nwant:\n%s\nrounds:\n%s",
-						cfg.label, got, want, roundSummary(res.Rounds))
-				}
-				if res.FinalProbeLen != n {
-					t.Errorf("%s: final probe length %d, want cap %d", cfg.label, res.FinalProbeLen, n)
-				}
-				// The last round is the certificate: conforming, no
-				// refinement, no distinguishing word.
-				last := res.Rounds[len(res.Rounds)-1]
-				if !last.Verdict.Conforms || last.Relearned || last.Distinction != nil {
-					t.Errorf("%s: last round is not a fixpoint certificate:\n%s", cfg.label, roundSummary(res.Rounds))
-				}
-				summary := roundSummary(res.Rounds)
-				if baseline == "" {
-					baseline = summary
-				} else if summary != baseline {
-					t.Errorf("%s: rounds differ from w1 baseline:\ngot:\n%s\nwant:\n%s", cfg.label, summary, baseline)
-				}
+			}
+			if diverged == 0 {
+				t.Error("truncated seed produced no diverging round")
+			}
+			if got, want := res.Model.Automaton.String(), ref.Automaton.String(); got != want {
+				t.Errorf("stabilized model differs from passive full-trace model:\ngot:\n%s\nwant:\n%s\nrounds:\n%s",
+					got, want, roundSummary(res.Rounds))
+			}
+			if res.FinalProbeLen != n {
+				t.Errorf("final probe length %d, want cap %d", res.FinalProbeLen, n)
+			}
+			// The last round is the certificate: conforming, no
+			// refinement, no distinguishing word.
+			last := res.Rounds[len(res.Rounds)-1]
+			if !last.Verdict.Conforms || last.Relearned || last.Distinction != nil {
+				t.Errorf("last round is not a fixpoint certificate:\n%s", roundSummary(res.Rounds))
 			}
 		})
 	}

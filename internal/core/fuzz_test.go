@@ -238,7 +238,7 @@ func exampleCheckpoints(tb testing.TB, tr *trace.Trace) [][]byte {
 
 // badGramCheckpoint rewrites a model-phase checkpoint payload so that
 // its learn state blocks a 12-gram at compliance length 2: blocking it
-// would enumerate capacity^13 state paths.
+// would enumerate N^13 state paths.
 func badGramCheckpoint(tb testing.TB, payload []byte) []byte {
 	tb.Helper()
 	lr, err := decodePayload(payload)

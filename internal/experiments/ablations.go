@@ -27,7 +27,7 @@ func AblationWindow(c Case, windows []int, timeout time.Duration) ([]WindowRow, 
 	}
 	var rows []WindowRow
 	for _, w := range windows {
-		opts := withWorkers(c.Options)
+		opts := withHooks(c.Options)
 		opts.SegmentWindow = w
 		opts.Timeout = timeout
 		start := time.Now()
@@ -61,7 +61,7 @@ func AblationCompliance(c Case, ls []int, timeout time.Duration) ([]ComplianceRo
 	}
 	var rows []ComplianceRow
 	for _, l := range ls {
-		opts := withWorkers(c.Options)
+		opts := withHooks(c.Options)
 		opts.ComplianceLen = l
 		if opts.SegmentWindow == 0 && l > 3 {
 			// The compliance window cannot exceed the segment
@@ -98,7 +98,7 @@ func AblationSymmetry(cases []Case, timeout time.Duration) ([]SymmetryRow, error
 		if err != nil {
 			return nil, err
 		}
-		opts := withWorkers(c.Options)
+		opts := withHooks(c.Options)
 		opts.Timeout = timeout
 		start := time.Now()
 		m1, err := repro.Learn(tr, opts)

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/active"
 	"repro/internal/core"
-	"repro/internal/learn"
 	"repro/internal/systems"
 	"repro/internal/trace"
 )
@@ -54,11 +53,10 @@ var activeTruncations = map[string]int{
 	"usbslot": 12, // first attach cycle and a partial second
 }
 
-// activeCoreOptions maps the package-level evaluation knobs onto the
+// activeCoreOptions maps the package-level evaluation hooks onto the
 // pipeline options the refinement loop takes.
 func activeCoreOptions() core.Options {
 	return core.Options{
-		Learn:     learn.Options{Portfolio: Portfolio, Workers: Workers},
 		Telemetry: Telemetry,
 		Context:   Context,
 	}

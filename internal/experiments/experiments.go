@@ -61,22 +61,9 @@ func Cases() []Case {
 	}
 }
 
-// Workers bounds the solver portfolio's concurrency in every
-// experiment run (cmd/repro's -j flag); it matters only with Portfolio
-// above one. Zero means one worker per available CPU. Results are
-// identical either way — only wall-clock time changes.
-var Workers int
-
-// Portfolio is the SAT solver portfolio size applied to every
-// experiment run (cmd/repro's -portfolio flag). Zero or one runs the
-// serial solver. The learned models are identical either way; see
-// internal/learn's determinism rule.
-var Portfolio int
-
 // Telemetry, when non-nil, is attached to every experiment run
 // (cmd/repro's -metrics-addr flag): counters and latency histograms
-// accumulate across runs into its registry. Like Workers and
-// Portfolio it never changes results.
+// accumulate across runs into its registry. It never changes results.
 var Telemetry *repro.Telemetry
 
 // Context, when non-nil, cancels every experiment run at the next
@@ -84,11 +71,9 @@ var Telemetry *repro.Telemetry
 // context here so ^C aborts a long evaluation cleanly).
 var Context context.Context
 
-// withWorkers applies the package-level worker count, portfolio size,
-// telemetry and cancellation context to a run's options.
-func withWorkers(opts repro.LearnOptions) repro.LearnOptions {
-	opts.Workers = Workers
-	opts.Portfolio = Portfolio
+// withHooks applies the package-level telemetry and cancellation
+// context to a run's options.
+func withHooks(opts repro.LearnOptions) repro.LearnOptions {
 	opts.Telemetry = Telemetry
 	opts.Context = Context
 	return opts
@@ -110,7 +95,7 @@ func LearnCase(c Case, timeout time.Duration) (*repro.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := withWorkers(c.Options)
+	opts := withHooks(c.Options)
 	opts.Timeout = timeout
 	return repro.Learn(tr, opts)
 }
@@ -138,7 +123,7 @@ func Table1(cases []Case, fullTimeout time.Duration) ([]Table1Row, error) {
 			return nil, fmt.Errorf("%s: %w", c.Name, err)
 		}
 		// Discover N with a plain segmented run.
-		opts := withWorkers(c.Options)
+		opts := withHooks(c.Options)
 		probe, err := repro.Learn(tr, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s: probe: %w", c.Name, err)
@@ -220,7 +205,7 @@ func Table2(cases []Case, mergeTimeout time.Duration) ([]Table2Row, error) {
 		}
 
 		learnStart := time.Now()
-		model, err := repro.Learn(tr, withWorkers(c.Options))
+		model, err := repro.Learn(tr, withHooks(c.Options))
 		if err != nil {
 			return nil, fmt.Errorf("%s: learn: %w", c.Name, err)
 		}
@@ -260,13 +245,13 @@ func Fig7(lengths []int, fullTimeout time.Duration) ([]Fig7Point, error) {
 			return nil, err
 		}
 		segStart := time.Now()
-		if _, err := repro.Learn(tr, withWorkers(repro.LearnOptions{})); err != nil {
+		if _, err := repro.Learn(tr, withHooks(repro.LearnOptions{})); err != nil {
 			return nil, fmt.Errorf("fig7 len %d segmented: %w", n, err)
 		}
 		segTime := time.Since(segStart)
 
 		fullStart := time.Now()
-		_, err = repro.Learn(tr, withWorkers(repro.LearnOptions{NonSegmented: true, Timeout: fullTimeout}))
+		_, err = repro.Learn(tr, withHooks(repro.LearnOptions{NonSegmented: true, Timeout: fullTimeout}))
 		fullTime := time.Since(fullStart)
 		timedOut := false
 		if err != nil {

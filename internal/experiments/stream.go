@@ -176,7 +176,7 @@ func RunIngest(stepsList []int) ([]IngestRow, error) {
 			return nil, err
 		}
 		data := buf.Bytes()
-		opts := withWorkers(repro.LearnOptions{})
+		opts := withHooks(repro.LearnOptions{})
 
 		runtime.GC()
 		hs := pipeline.StartHeapSampler(time.Millisecond)

@@ -23,7 +23,7 @@ func bruteCanonical(e *encoding) []bool {
 	digits := make([]int, n*syms)
 	rel := make([]bool, n*syms*n)
 	for {
-		asm := append([]sat.Lit(nil), e.assumptions()...)
+		asm := make([]sat.Lit, 0, len(rel))
 		for g, d := range digits {
 			for s2 := 0; s2 < n; s2++ {
 				on := d != 0 && s2 == n-d
@@ -64,11 +64,10 @@ func randomWord(rng *rand.Rand, syms, length int) []int {
 // TestCanonicalizeMatchesBruteForce checks canonicalize against the
 // lex-order walk on random small encodings (n ≤ 3 states, ≤ 3
 // symbols, random segments, anchors and blocked grams, with and
-// without the symmetry chain and the speculative capacity
-// restriction): first on a fresh encoding, then after addSegment and
-// blockGram extend the same live encoding. The oracle runs on its own
-// encoding built from the same constraints, so it shares no solver
-// state with the encoding under test.
+// without the symmetry chain): first on a fresh encoding, then after
+// addSegment and blockGram extend the same live encoding. The oracle
+// runs on its own encoding built from the same constraints, so it
+// shares no solver state with the encoding under test.
 func TestCanonicalizeMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	checked, probed := 0, 0
@@ -76,10 +75,6 @@ func TestCanonicalizeMatchesBruteForce(t *testing.T) {
 		n := 1 + rng.Intn(3)
 		syms := 1 + rng.Intn(3)
 		order := rng.Intn(4) != 0
-		capacity := n
-		if order && rng.Intn(3) == 0 {
-			capacity = n + 1
-		}
 		var segs [][]int
 		var anch []bool
 		for k := 1 + rng.Intn(3); k > 0; k-- {
@@ -90,19 +85,19 @@ func TestCanonicalizeMatchesBruteForce(t *testing.T) {
 		for k := rng.Intn(3); k > 0; k-- {
 			blocked = append(blocked, randomWord(rng, syms, 2))
 		}
-		e := newEncoding(n, capacity, syms, segs, anch, order)
+		e := newEncoding(n, syms, segs, anch, order)
 		for _, g := range blocked {
 			e.blockGram(g)
 		}
 
 		compare := func(stage string) {
 			t.Helper()
-			oracle := newEncoding(n, capacity, syms, e.segments, e.anchored, order)
+			oracle := newEncoding(n, syms, e.segments, e.anchored, order)
 			for _, g := range blocked {
 				oracle.blockGram(g)
 			}
-			st := e.solve(time.Time{}, nil)
-			if oracle.solve(time.Time{}, nil) != st {
+			st := e.solve(time.Time{})
+			if oracle.solve(time.Time{}) != st {
 				t.Fatalf("round %d %s: status %v disagrees with a fresh encoding", round, stage, st)
 			}
 			if st != sat.Sat {
@@ -115,8 +110,8 @@ func TestCanonicalizeMatchesBruteForce(t *testing.T) {
 			probed += e.canonicalize()
 			for i := range want {
 				if e.rel[i] != want[i] {
-					t.Fatalf("round %d %s (n=%d syms=%d cap=%d order=%v segs=%v anch=%v blocked=%v):\n got %v\nwant %v",
-						round, stage, n, syms, capacity, order, e.segments, e.anchored, blocked, e.rel, want)
+					t.Fatalf("round %d %s (n=%d syms=%d order=%v segs=%v anch=%v blocked=%v):\n got %v\nwant %v",
+						round, stage, n, syms, order, e.segments, e.anchored, blocked, e.rel, want)
 				}
 			}
 			checked++

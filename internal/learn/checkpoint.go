@@ -4,17 +4,15 @@
 // plain serialisable data; internal/checkpoint embeds them in its
 // snapshot files.
 //
-// Resume determinism: a resumed search rebuilds its solver portfolio
-// from scratch at the checkpointed (N, segments, anchored, blocked)
-// with no warm start. That is byte-identical to continuing the
-// uninterrupted run because satisfying models are only ever taken from
-// the canonical portfolio member after lex-least canonicalisation (the
-// PR-2 determinism rule: incremental, scratch and portfolio paths all
-// extract the same automaton), and UNSAT verdicts are semantic facts
-// independent of which member or warm start produced them. The only
-// run-to-run variation — whether a speculative member happens to prove
-// N+1 unsatisfiable in time to skip it — never changes the final N or
-// the model extracted there.
+// Resume determinism: a resumed search rebuilds its encoding from
+// scratch at the checkpointed (N, segments, anchored, blocked), with
+// none of the interrupted solver's learned clauses. That is
+// byte-identical to continuing the uninterrupted run because models
+// are only ever taken after lex-least canonicalisation, whose result
+// depends on the constraint set alone (incremental, scratch and
+// resumed searches all extract the same automaton), and UNSAT verdicts
+// are semantic facts independent of the solver state that produced
+// them.
 package learn
 
 import (

@@ -87,9 +87,9 @@ func TestResumeFromEveryRound(t *testing.T) {
 
 // TestResumeRejectsBadGramLength: every gram a search blocks has the
 // compliance length l, so a resumed gram of another length is corrupt.
-// Blocking a k-gram enumerates capacity^(k+1) state paths before any
+// Blocking a k-gram enumerates N^(k+1) state paths before any
 // deadline check, so resume must refuse it before building an encoding:
-// a 12-gram at capacity 5 would otherwise run out of memory.
+// a 12-gram at N = 5 would otherwise run out of memory.
 func TestResumeRejectsBadGramLength(t *testing.T) {
 	P := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	for _, k := range []int{3, 1, 12} {

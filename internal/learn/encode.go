@@ -1,7 +1,6 @@
 package learn
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/automaton"
@@ -42,22 +41,14 @@ import (
 // exactly the witnessed transitions. t variables are given a false
 // preferred polarity for the same reason.
 //
-// The encoding is incremental in two directions. Within a state count,
-// blockGram and addSegment extend the live solver, which keeps its
-// learned clauses. Across state counts, an encoding may be built with
-// capacity > n: the CNF then allocates capacity states, and the search
-// for an n-state automaton runs under the single assumption that the
-// symmetry chain's last link is false — no slot holds a state ≥ n —
-// which restricts every slot to the first n states and makes the
-// restricted formula equisatisfiable with the plain n-state encoding.
-// When the n-state search turns out unsatisfiable, promote drops the
-// assumption and the same solver, learned clauses and all, continues
-// at n+1 states.
+// The encoding is incremental within a state count: blockGram and
+// addSegment extend the live solver, which keeps its learned clauses.
+// A new state count gets a new encoding.
 type encoding struct {
-	n        int // states the current search targets
-	capacity int // states the CNF allocates (n, or more for speculation)
-	numSyms  int
-	solver   *sat.Solver
+	n       int // states
+	numSyms int
+	solver  *sat.Solver
+	prev    sat.Stats // solver counters already added to Stats
 
 	segments [][]int
 	anchored []bool
@@ -75,24 +66,21 @@ type encoding struct {
 	rel []bool
 }
 
-// newEncoding builds the hypothesis for n states (allocating capacity
-// ≥ n) over the given segments. Segments are added through the same
-// addSegment used for live extension, so an encoding built with k
-// segments is variable-for-variable identical to one built with fewer
-// and extended afterwards.
-func newEncoding(n, capacity, numSyms int, segments [][]int, anchored []bool, orderStates bool) *encoding {
-	if capacity < n {
-		capacity = n
-	}
-	e := &encoding{n: n, capacity: capacity, numSyms: numSyms, solver: sat.New()}
+// newEncoding builds the hypothesis for n states over the given
+// segments. Segments are added through the same addSegment used for
+// live extension, so an encoding built with k segments is
+// variable-for-variable identical to one built with fewer and extended
+// afterwards.
+func newEncoding(n, numSyms int, segments [][]int, anchored []bool, orderStates bool) *encoding {
+	e := &encoding{n: n, numSyms: numSyms, solver: sat.New()}
 
-	// Transition-function variables, over the full capacity.
-	e.tVars = make([][][]int, capacity)
-	for s := 0; s < capacity; s++ {
+	// Transition-function variables.
+	e.tVars = make([][][]int, n)
+	for s := 0; s < n; s++ {
 		e.tVars[s] = make([][]int, numSyms)
 		for p := 0; p < numSyms; p++ {
-			e.tVars[s][p] = make([]int, capacity)
-			for s2 := 0; s2 < capacity; s2++ {
+			e.tVars[s][p] = make([]int, n)
+			for s2 := 0; s2 < n; s2++ {
 				v := e.solver.NewVar()
 				e.solver.SetPreferredPolarity(v, false)
 				e.tVars[s][p][s2] = v
@@ -101,17 +89,17 @@ func newEncoding(n, capacity, numSyms int, segments [][]int, anchored []bool, or
 	}
 
 	// Determinism: at most one successor per (state, predicate).
-	for s := 0; s < capacity; s++ {
+	for s := 0; s < n; s++ {
 		for p := 0; p < numSyms; p++ {
-			for a := 0; a < capacity; a++ {
-				for b := a + 1; b < capacity; b++ {
+			for a := 0; a < n; a++ {
+				for b := a + 1; b < n; b++ {
 					e.solver.AddClause(sat.Neg(e.tVars[s][p][a]), sat.Neg(e.tVars[s][p][b]))
 				}
 			}
 		}
 	}
 
-	if orderStates && capacity > 1 {
+	if orderStates && n > 1 {
 		e.chainTail = []int{} // non-nil: ordering enabled, no slot yet
 	}
 
@@ -132,20 +120,20 @@ func (e *encoding) addSegment(seg []int, anchor bool) {
 
 	slots := make([][]int, len(seg)+1)
 	for j := range slots {
-		states := make([]int, e.capacity)
-		for s := 0; s < e.capacity; s++ {
+		states := make([]int, e.n)
+		for s := 0; s < e.n; s++ {
 			states[s] = e.solver.NewVar()
 		}
 		slots[j] = states
 		// At least one state.
-		lits := make([]sat.Lit, e.capacity)
-		for s := 0; s < e.capacity; s++ {
+		lits := make([]sat.Lit, e.n)
+		for s := 0; s < e.n; s++ {
 			lits[s] = sat.Pos(states[s])
 		}
 		e.solver.AddClause(lits...)
 		// At most one state.
-		for a := 0; a < e.capacity; a++ {
-			for b := a + 1; b < e.capacity; b++ {
+		for a := 0; a < e.n; a++ {
+			for b := a + 1; b < e.n; b++ {
 				e.solver.AddClause(sat.Neg(states[a]), sat.Neg(states[b]))
 			}
 		}
@@ -163,8 +151,8 @@ func (e *encoding) addSegment(seg []int, anchor bool) {
 	for j, p := range seg {
 		from := slots[j]
 		to := slots[j+1]
-		for s := 0; s < e.capacity; s++ {
-			for s2 := 0; s2 < e.capacity; s2++ {
+		for s := 0; s < e.n; s++ {
+			for s2 := 0; s2 < e.n; s2++ {
 				e.solver.AddClause(
 					sat.Neg(from[s]), sat.Neg(to[s2]), sat.Pos(e.tVars[s][p][s2]))
 			}
@@ -177,20 +165,19 @@ func (e *encoding) addSegment(seg []int, anchor bool) {
 	// automaton has exactly one such labelling, so this prunes the
 	// (N−1)! relabellings that otherwise bloat the UNSAT escalation
 	// proofs. maxGE[j][s] means "some slot ≤ j holds a state ≥ s"; the
-	// chain threads across addSegment calls through chainTail, and its
-	// final link doubles as the capacity restriction (see assumptions).
+	// chain threads across addSegment calls through chainTail.
 	if e.chainTail != nil {
 		prev := e.chainTail
 		first := len(prev) == 0
 		for j := range slots {
 			states := slots[j]
-			cur := make([]int, e.capacity-1)
-			for s := 1; s < e.capacity; s++ {
+			cur := make([]int, e.n-1)
+			for s := 1; s < e.n; s++ {
 				v := e.solver.NewVar()
 				e.solver.SetPreferredPolarity(v, false)
 				cur[s-1] = v
 				// y[j][t] → maxGE[j][s] for t ≥ s.
-				for t := s; t < e.capacity; t++ {
+				for t := s; t < e.n; t++ {
 					e.solver.AddClause(sat.Neg(states[t]), sat.Pos(v))
 				}
 				if !first {
@@ -200,7 +187,7 @@ func (e *encoding) addSegment(seg []int, anchor bool) {
 			}
 			// y[j][t] allowed only if maxGE[j-1][t-1] (t ≥ 1); the
 			// very first slot may only hold state 0.
-			for t := 1; t < e.capacity; t++ {
+			for t := 1; t < e.n; t++ {
 				if first {
 					e.solver.AddClause(sat.Neg(states[t]))
 				} else {
@@ -224,28 +211,9 @@ func (e *encoding) anchorSegment(i int) {
 	e.solver.AddClause(sat.Pos(e.slotVars[i][0][0]))
 }
 
-// assumptions returns the capacity restriction for the current n: the
-// symmetry chain's last link at index n must be false, which forbids
-// every slot from holding a state ≥ n. Empty when the encoding is at
-// full capacity (or holds no slots yet, in which case there is nothing
-// to restrict).
-func (e *encoding) assumptions() []sat.Lit {
-	if e.n < e.capacity && len(e.chainTail) > 0 {
-		return []sat.Lit{sat.Neg(e.chainTail[e.n-1])}
-	}
-	return nil
-}
-
-// promote raises the search target to the full capacity, dropping the
-// restriction assumption. The solver keeps every clause learned while
-// the restriction was in force: learned clauses derive from the
-// problem clauses alone, never from assumptions, so they remain valid.
-func (e *encoding) promote() { e.n = e.capacity }
-
 // blockGram forbids every state path realising the symbol-id word g:
 // for all state paths s0..sl, at least one of the involved transitions
-// must be absent. Paths range over the full capacity so that blocking
-// clauses stay sufficient after promote.
+// must be absent.
 func (e *encoding) blockGram(g []int) {
 	l := len(g)
 	path := make([]int, l+1)
@@ -259,7 +227,7 @@ func (e *encoding) blockGram(g []int) {
 			e.solver.AddClause(lits...)
 			return
 		}
-		for s := 0; s < e.capacity; s++ {
+		for s := 0; s < e.n; s++ {
 			path[depth] = s
 			rec(depth + 1)
 		}
@@ -268,48 +236,37 @@ func (e *encoding) blockGram(g []int) {
 }
 
 // solveChunkConflicts is the conflict budget per solver call when a
-// deadline or stop flag is in force; a variable so tests can shrink it
-// to pin mid-solve behaviour deterministically.
+// deadline is in force; a variable so tests can shrink it to pin
+// mid-solve behaviour deterministically.
 var solveChunkConflicts int64 = 20000
 
-// solve runs the SAT solver under the capacity-restriction
-// assumptions. With neither deadline nor stop flag the solver runs
+// solve runs the SAT solver. Without a deadline the solver runs
 // unbounded; otherwise it solves in conflict-budget chunks so that a
-// single hard instance cannot overshoot a timeout (or outlive a
-// portfolio decision) unboundedly. It returns Sat, Unsat, or Unknown
-// when interrupted mid-solve.
-func (e *encoding) solve(deadline time.Time, stop *atomic.Bool) sat.Status {
-	if deadline.IsZero() && stop == nil {
+// single hard instance cannot overshoot a timeout unboundedly. It
+// returns Sat, Unsat, or Unknown when the deadline expired mid-solve.
+func (e *encoding) solve(deadline time.Time) sat.Status {
+	if deadline.IsZero() {
 		e.solver.MaxConflicts = 0
-		return e.solver.SolveAssuming(e.assumptions()...)
+		return e.solver.Solve()
 	}
 	e.solver.MaxConflicts = solveChunkConflicts
 	for {
-		st := e.solver.SolveAssuming(e.assumptions()...)
-		if st != sat.Unknown {
+		st := e.solver.Solve()
+		if st != sat.Unknown || time.Now().After(deadline) {
 			return st
-		}
-		if stop != nil && stop.Load() {
-			return sat.Unknown
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return sat.Unknown
 		}
 	}
 }
 
-// preferTransitions sets the preferred polarity of every transition
-// variable — the canonical encoding biases them false so extracted
-// automata stay sparse; a portfolio variant may flip them as a
-// diversification knob.
-func (e *encoding) preferTransitions(polarity bool) {
-	for _, bySym := range e.tVars {
-		for _, row := range bySym {
-			for _, v := range row {
-				e.solver.SetPreferredPolarity(v, polarity)
-			}
-		}
-	}
+// addStats adds the solver counters accumulated since the previous
+// call to st, so repeated calls never double count.
+func (e *encoding) addStats(st *Stats) {
+	d := e.solver.Stats
+	st.SATConflicts += d.Conflicts - e.prev.Conflicts
+	st.SATDecisions += d.Decisions - e.prev.Decisions
+	st.SATPropagations += d.Propagations - e.prev.Propagations
+	st.SATLearned += d.Learned - e.prev.Learned
+	e.prev = d
 }
 
 // canonicalize computes the canonical model: the lexicographically
@@ -325,10 +282,10 @@ func (e *encoding) preferTransitions(polarity bool) {
 // still satisfies every fix). Consecutive probes share the growing
 // assumption prefix, which the solver keeps on its trail between calls.
 // The result is a function of the constraint set alone — independent
-// of learned clauses, activity scores, saved phases, chunking, or which
-// portfolio member raced ahead — which is what makes incremental,
-// scratch and portfolio construction extract identical automata. The
-// solver must be in a Sat state; afterwards its model is unspecified.
+// of learned clauses, activity scores, saved phases or chunking — which
+// is what makes incremental, scratch and resumed construction extract
+// identical automata. The solver must be in a Sat state; afterwards its
+// model is unspecified.
 // Cost: one solve per variable true in the snapshot when it is reached
 // (roughly, per transition of the model) and none for the rest. It
 // returns the number of probe solves.
@@ -340,8 +297,7 @@ func (e *encoding) canonicalize() (solves int) {
 	}
 	e.rel = e.rel[:k]
 	e.snapshot(0)
-	asm := e.assumptions()
-	fixed := append(make([]sat.Lit, 0, len(asm)+k), asm...)
+	fixed := make([]sat.Lit, 0, k)
 	for i := range e.rel {
 		v := e.tVar(i)
 		if e.rel[i] {

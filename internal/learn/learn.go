@@ -63,18 +63,9 @@ type Options struct {
 	// in the encoding (for the ablation benchmarks; the UNSAT
 	// escalation proofs are substantially slower without it).
 	NoSymmetryBreaking bool
-	// Portfolio races this many solver configurations per solve
-	// (bounded by the built-in table: canonical, speculative N+1,
-	// restart and decay variants). Zero or one selects the serial
-	// path. The learned automaton is identical for every Portfolio
-	// and Workers setting; see portfolio.go for the determinism rule.
-	Portfolio int
-	// Workers bounds the portfolio's concurrency. Zero means one per
-	// CPU; one runs the canonical member only.
-	Workers int
 	// ScratchRefinement rebuilds the encoding from scratch after each
 	// compliance or acceptance refinement instead of extending the
-	// live solvers — the pre-incremental behaviour, kept for
+	// live solver — the pre-incremental behaviour, kept for
 	// equivalence testing and ablation benchmarks. Canonical model
 	// extraction makes the learned automaton identical either way.
 	ScratchRefinement bool
@@ -104,7 +95,7 @@ type Options struct {
 	TraceSpan pipeline.SpanID
 
 	// retain, when non-nil, receives the live solver state of a
-	// successful search (portfolio, level, segment/blocked tables) so
+	// successful search (encoding, segment/blocked tables) so
 	// the Live engine can keep extending it incrementally instead of
 	// relearning from scratch. Unexported: only live.go sets it.
 	retain *searchRetained
@@ -112,15 +103,13 @@ type Options struct {
 
 // searchRetained is the solver state GenerateModelSeqs leaves behind
 // for live extension: everything needed to continue the refinement
-// loop at the found level n when the input sequence grows.
+// loop at the found level enc.n when the input sequence grows.
 type searchRetained struct {
-	pf           *portfolio
-	n            int
+	enc          *encoding
 	acceptWindow int
 	blocked      [][]int
 	segments     [][]int
 	anchored     []bool
-	numSyms      int
 }
 
 func (o Options) withDefaults() Options {
@@ -154,9 +143,9 @@ type Stats struct {
 	SATPropagations   int64
 	SATLearned        int64 // clauses learned (and kept across solves)
 	Duration          time.Duration
-	// CPU is the process CPU time consumed by the search. With the
-	// serial solver it tracks Duration; a portfolio on several workers
-	// spends more CPU than wall time.
+	// CPU is the process CPU time consumed by the search. The search
+	// runs on the caller's goroutine, so CPU tracks Duration plus
+	// whatever the garbage collector spends alongside it.
 	CPU time.Duration
 }
 

@@ -2,10 +2,10 @@
 // learned automaton current over it without relearning from scratch on
 // every change. It continues GenerateModelSeqs' refinement loop at the
 // retained level n — new unique base segments extend the live solver
-// portfolio via addSegment, compliance violations via blockGram — and
-// falls back to a full re-minimization (a plain GenerateModelSeqs call
-// over the whole sequence, hence trivially byte-identical to a batch
-// relearn) whenever incremental extension could diverge from it.
+// via addSegment, compliance violations via blockGram — and falls back
+// to a full re-minimization (a plain GenerateModelSeqs call over the
+// whole sequence, hence trivially byte-identical to a batch relearn)
+// whenever incremental extension could diverge from it.
 //
 // Why extension at the retained n is exact and not a heuristic: the
 // batch search's result is the lex-least compliant-and-accepting
@@ -22,8 +22,8 @@
 //
 //   - a retained blocked gram became a valid gram of the grown
 //     sequence (the UNSAT proofs below n may no longer hold, and the
-//     retained blocking clauses cannot be removed from the solvers),
-//   - a new symbol appeared (the retained encodings' transition
+//     retained blocking clauses cannot be removed from the solver),
+//   - a new symbol appeared (the retained encoding's transition
 //     variables are sized for the alphabet at build time),
 //   - the constraints went UNSAT at n (the model needs more states).
 package learn
@@ -111,9 +111,10 @@ type Live struct {
 	freshGrams bool // a gram became valid since the last solve fixpoint
 	keyBuf     []byte
 
-	// Retained search state (nil pf until the first learn).
-	pf           *portfolio
-	n            int
+	// Retained search state (nil enc until the first learn). The
+	// encoding fixes the retained level enc.n and the alphabet size
+	// enc.numSyms its transition variables were built for.
+	enc          *encoding
 	acceptWindow int
 	blocked      [][]int
 	blockedSet   map[string]bool
@@ -121,7 +122,6 @@ type Live struct {
 	workIndex    map[string]int
 	workSegs     [][]int
 	workAnch     []bool
-	numSyms      int // alphabet size frozen into the retained encodings
 
 	model *automaton.NFA
 	stats Stats
@@ -272,7 +272,7 @@ func (l *Live) recordWork(seg []int, anchor bool) (idx int, added, anchorUp bool
 
 // Revise brings the model up to date with the appended evidence: a
 // no-solver no-op when nothing changed, an incremental extension of
-// the retained portfolio when that is provably exact, and a full
+// the retained encoding when that is provably exact, and a full
 // re-minimization otherwise (or when forced by the caller's policy).
 // It reports whether a re-minimization ran. After a nil-error return
 // the model accepts the whole current sequence and is byte-identical
@@ -284,8 +284,8 @@ func (l *Live) Revise(forceRemin bool) (reminimized bool, err error) {
 	if l.seq.total < l.opts.Window {
 		return false, fmt.Errorf("learn: live sequence shorter than the segmentation window (%d < %d)", l.seq.total, l.opts.Window)
 	}
-	needRemin := forceRemin || l.pf == nil || l.stale ||
-		len(l.seq.syms) > l.numSyms || l.opts.ScratchRefinement
+	needRemin := forceRemin || l.enc == nil || l.stale ||
+		len(l.seq.syms) > l.enc.numSyms || l.opts.ScratchRefinement
 	if !needRemin && len(l.pending) == 0 && !l.freshGrams {
 		// No new evidence of any kind: every window of the appended
 		// suffix was already a constrained segment and no gram or
@@ -312,7 +312,7 @@ func (l *Live) Revise(forceRemin bool) (reminimized bool, err error) {
 			return false, err
 		}
 		// UNSAT at the retained level: the grown sequence needs more
-		// states. Discard the portfolio and search from scratch.
+		// states. Discard the encoding and search from scratch.
 	}
 	return true, l.reminimize()
 }
@@ -329,11 +329,9 @@ func (l *Live) reminimize() error {
 	}
 	l.accumulate(res.Stats)
 	l.model = res.Automaton
-	l.pf = ret.pf
-	l.n = ret.n
+	l.enc = ret.enc
 	l.acceptWindow = ret.acceptWindow
 	l.blocked = ret.blocked
-	l.numSyms = ret.numSyms
 	l.stale = false
 	l.freshGrams = false
 	l.pending = l.pending[:0]
@@ -387,11 +385,11 @@ func (l *Live) extend() error {
 	for _, bi := range l.pending {
 		idx, added, anchorUp := l.recordWork(l.baseSegs[bi], l.baseAnch[bi])
 		if added {
-			l.pf.addSegment(l.workSegs[idx], l.workAnch[idx])
+			l.enc.addSegment(l.workSegs[idx], l.workAnch[idx])
 		} else if anchorUp {
 			// A base window that the retained search had already
 			// added as an unanchored acceptance window.
-			l.pf.anchorSegment(idx)
+			l.enc.anchorSegment(idx)
 		}
 	}
 	l.pending = l.pending[:0]
@@ -420,10 +418,10 @@ func (l *Live) extend() error {
 		l.stats.SolverCalls++
 		cSolves.Add(1)
 		t0 := time.Now()
-		status, _ := l.pf.solve(deadline)
+		status := l.enc.solve(deadline)
 		hSolveNS.Since(t0)
 		tel.Prof().Observe("solve", time.Since(t0))
-		l.pf.addStats(&l.stats)
+		l.enc.addStats(&l.stats)
 		if status == sat.Unknown {
 			return ErrBudgetExceeded
 		}
@@ -431,7 +429,8 @@ func (l *Live) extend() error {
 			return errNeedGrow
 		}
 		t0 = time.Now()
-		m, probes := l.pf.canonicalModel(symbols)
+		probes := l.enc.canonicalize()
+		m := l.enc.extract(symbols)
 		hCanonNS.Since(t0)
 		cCanonSolves.Add(int64(probes))
 
@@ -442,12 +441,12 @@ func (l *Live) extend() error {
 			l.stats.Refinements++
 			cGramsBlocked.Add(int64(len(invalid)))
 			if refinements > l.opts.MaxRefinements {
-				return fmt.Errorf("learn: more than %d refinements at N=%d", l.opts.MaxRefinements, l.n)
+				return fmt.Errorf("learn: more than %d refinements at N=%d", l.opts.MaxRefinements, l.enc.n)
 			}
 			for _, g := range invalid {
 				l.blocked = append(l.blocked, g)
 				l.blockedSet[intsKey(g)] = true
-				l.pf.blockGram(g)
+				l.enc.blockGram(g)
 			}
 			continue
 		}
@@ -458,13 +457,13 @@ func (l *Live) extend() error {
 			l.model = m
 			l.freshGrams = false
 			l.stats.Segments = len(l.workSegs)
-			l.stats.FinalStates = l.n
+			l.stats.FinalStates = l.enc.n
 			return nil
 		}
 		acceptRefinements++
 		l.stats.AcceptRefinements++
 		if acceptRefinements > l.opts.MaxRefinements {
-			return fmt.Errorf("learn: more than %d acceptance refinements at N=%d", l.opts.MaxRefinements, l.n)
+			return fmt.Errorf("learn: more than %d acceptance refinements at N=%d", l.opts.MaxRefinements, l.enc.n)
 		}
 		var idx int
 		var added, anchorUp bool
@@ -489,9 +488,9 @@ func (l *Live) extend() error {
 		}
 		if added {
 			cSegmentsAdded.Add(1)
-			l.pf.addSegment(l.workSegs[idx], l.workAnch[idx])
+			l.enc.addSegment(l.workSegs[idx], l.workAnch[idx])
 		} else {
-			l.pf.anchorSegment(idx)
+			l.enc.anchorSegment(idx)
 		}
 	}
 }
@@ -501,11 +500,11 @@ func (l *Live) extend() error {
 // (over the same sequence) reproduces the current model without any
 // refinement work. Nil before the first successful revision.
 func (l *Live) Checkpoint() *CheckpointState {
-	if l.pf == nil || l.model == nil {
+	if l.model == nil {
 		return nil
 	}
 	return &CheckpointState{
-		N:            l.n,
+		N:            l.enc.n,
 		AcceptWindow: l.acceptWindow,
 		Blocked:      copyInts(l.blocked),
 		Segments:     copyInts(l.workSegs),
@@ -525,7 +524,7 @@ func (l *Live) SeqState() *SeqState { return l.seq.State() }
 // stepping verifies), so callers skip Revise entirely while clean.
 func (l *Live) Dirty() bool {
 	return l.model == nil || len(l.pending) > 0 || l.stale || l.freshGrams ||
-		len(l.seq.syms) > l.numSyms
+		len(l.seq.syms) > l.enc.numSyms
 }
 
 // Walk runs the current model over the whole maintained sequence from

@@ -92,35 +92,30 @@ func liveWorkloads() map[string][]string {
 // TestLiveMatchesBatchEveryPrefix is the core live-maintenance
 // guarantee at the learn layer: after Revise over any prefix, the live
 // model is byte-identical to a fresh batch GenerateModelSeqs over the
-// same prefix — across workloads, serial and portfolio configurations,
-// and regardless of whether the revision extended or re-minimized.
+// same prefix — across workloads, and regardless of whether the
+// revision extended or re-minimized.
 func TestLiveMatchesBatchEveryPrefix(t *testing.T) {
-	configs := []Options{
-		{Segmented: true, Workers: 1},
-		{Segmented: true, Workers: 4, Portfolio: 4},
-	}
+	opts := Options{Segmented: true}
 	for name, word := range liveWorkloads() {
-		for _, opts := range configs {
-			lv, err := NewLive(opts)
-			if err != nil {
-				t.Fatal(err)
+		lv, err := NewLive(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sym := range word {
+			lv.Append(sym, 1)
+			if !lv.Ready() {
+				continue
 			}
-			for i, sym := range word {
-				lv.Append(sym, 1)
-				if !lv.Ready() {
-					continue
-				}
-				if _, err := lv.Revise(false); err != nil {
-					t.Fatalf("%s[:%d] workers=%d: Revise: %v", name, i+1, opts.Workers, err)
-				}
-				batch, err := GenerateModelSeqs([]*Seq{seqOf(word[:i+1])}, opts)
-				if err != nil {
-					t.Fatalf("%s[:%d] workers=%d: batch: %v", name, i+1, opts.Workers, err)
-				}
-				if lm, bm := lv.Model().String(), batch.Automaton.String(); lm != bm {
-					t.Fatalf("%s[:%d] workers=%d: live model diverges from batch:\nlive:\n%s\nbatch:\n%s",
-						name, i+1, opts.Workers, lm, bm)
-				}
+			if _, err := lv.Revise(false); err != nil {
+				t.Fatalf("%s[:%d]: Revise: %v", name, i+1, err)
+			}
+			batch, err := GenerateModelSeqs([]*Seq{seqOf(word[:i+1])}, opts)
+			if err != nil {
+				t.Fatalf("%s[:%d]: batch: %v", name, i+1, err)
+			}
+			if lm, bm := lv.Model().String(), batch.Automaton.String(); lm != bm {
+				t.Fatalf("%s[:%d]: live model diverges from batch:\nlive:\n%s\nbatch:\n%s",
+					name, i+1, lm, bm)
 			}
 		}
 	}
@@ -130,7 +125,7 @@ func TestLiveMatchesBatchEveryPrefix(t *testing.T) {
 // window of a periodic word, replaying more periods adds no segments
 // and no grams, and Revise must not touch the solver at all.
 func TestLiveFastPathZeroSolverCalls(t *testing.T) {
-	lv, err := NewLive(Options{Segmented: true, Workers: 1})
+	lv, err := NewLive(Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +165,7 @@ func TestLiveFastPathZeroSolverCalls(t *testing.T) {
 // still match batch (covered by the every-prefix test; here the
 // trigger itself is asserted).
 func TestLiveStaleBlockedGramForcesRemin(t *testing.T) {
-	lv, err := NewLive(Options{Segmented: true, Workers: 1})
+	lv, err := NewLive(Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +199,7 @@ func TestLiveStaleBlockedGramForcesRemin(t *testing.T) {
 	if !remin {
 		t.Fatal("stale retained state did not force a re-minimization")
 	}
-	batch, err := GenerateModelSeqs([]*Seq{cloneSeqFromLive(t, lv)}, Options{Segmented: true, Workers: 1})
+	batch, err := GenerateModelSeqs([]*Seq{cloneSeqFromLive(t, lv)}, Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +222,7 @@ func cloneSeqFromLive(t *testing.T, lv *Live) *Seq {
 // live checkpoint over the same sequence is a fixpoint — it reproduces
 // the live model with a single satisfiable solver round.
 func TestLiveCheckpointResumeFixpoint(t *testing.T) {
-	lv, err := NewLive(Options{Segmented: true, Workers: 1})
+	lv, err := NewLive(Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +241,7 @@ func TestLiveCheckpointResumeFixpoint(t *testing.T) {
 		t.Fatal("nil checkpoint after successful revision")
 	}
 	res, err := GenerateModelSeqs([]*Seq{cloneSeqFromLive(t, lv)},
-		Options{Segmented: true, Workers: 1, Resume: cp})
+		Options{Segmented: true, Resume: cp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +293,7 @@ func TestLiveExtendAccountsStats(t *testing.T) {
 	}
 	learnThen := func(word, suffix string, tel *pipeline.Telemetry) *Live {
 		t.Helper()
-		lv, err := NewLive(Options{Segmented: true, Workers: 1, Telemetry: tel})
+		lv, err := NewLive(Options{Segmented: true, Telemetry: tel})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package learn
 import (
 	"errors"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,16 +51,16 @@ func checkInvariants(t *testing.T, res *Result, P []string, w int) {
 	checkSegments(t, res, P, w)
 }
 
-// TestPaperInvariantsSerialAndPortfolio runs the two invariants over
-// randomized small synthetic sequences in serial and portfolio modes.
-func TestPaperInvariantsSerialAndPortfolio(t *testing.T) {
+// TestPaperInvariantsSerialAndScratch runs the two invariants over
+// randomized small synthetic sequences, extending the live solver and
+// rebuilding it after each refinement.
+func TestPaperInvariantsSerialAndScratch(t *testing.T) {
 	modes := []struct {
 		name string
 		opts Options
 	}{
 		{"serial", Options{Segmented: true, MaxStates: 32}},
 		{"serial-scratch", Options{Segmented: true, MaxStates: 32, ScratchRefinement: true}},
-		{"portfolio", Options{Segmented: true, MaxStates: 32, Portfolio: 4, Workers: 4}},
 	}
 	for _, P := range propertySequences() {
 		for _, mode := range modes {
@@ -78,7 +77,7 @@ func TestPaperInvariantsSerialAndPortfolio(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesScratch: extending the live solvers on
+// TestIncrementalMatchesScratch: extending the live solver on
 // acceptance refinement must yield exactly the automaton the scratch
 // rebuild finds — same states, transitions, and start state.
 func TestIncrementalMatchesScratch(t *testing.T) {
@@ -97,67 +96,6 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		if inc.Stats.FinalStates != scr.Stats.FinalStates {
 			t.Errorf("input %v: incremental %d states, scratch %d",
 				P, inc.Stats.FinalStates, scr.Stats.FinalStates)
-		}
-	}
-}
-
-// TestPortfolioDeterministicAcrossWorkers: for a fixed portfolio
-// configuration the learned automaton, acceptance flag and final state
-// count are identical for every worker count — the variants only ever
-// contribute Unsat verdicts, which all members must agree on. Effort
-// statistics (conflicts, solver calls) are scheduling-dependent and
-// deliberately not compared.
-func TestPortfolioDeterministicAcrossWorkers(t *testing.T) {
-	for _, P := range propertySequences() {
-		type outcome struct {
-			auto    string
-			states  int
-			accepts bool
-		}
-		var ref *outcome
-		for _, workers := range []int{1, 2, 8} {
-			res, err := GenerateModelSeqs(seqsOf(P), Options{
-				Segmented: true, MaxStates: 32, Portfolio: 4, Workers: workers,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d (%v): %v", workers, P, err)
-			}
-			got := &outcome{res.Automaton.String(), res.Stats.FinalStates, res.AcceptsInput}
-			if ref == nil {
-				ref = got
-				continue
-			}
-			if *got != *ref {
-				t.Errorf("workers=%d diverged on %v:\n%s\nwant:\n%s", workers, P, got.auto, ref.auto)
-			}
-		}
-	}
-}
-
-// TestPortfolioMatchesSerialSemantics: portfolio and serial modes
-// learn the identical automaton. Canonical model extraction makes this
-// exact: the lex-least transition relation is a function of the
-// constraint set, not of chunking, learned clauses, or which member
-// raced ahead.
-func TestPortfolioMatchesSerialSemantics(t *testing.T) {
-	for _, P := range propertySequences() {
-		serial, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true, MaxStates: 32})
-		if err != nil {
-			t.Fatalf("serial (%v): %v", P, err)
-		}
-		pf, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true, MaxStates: 32, Portfolio: 4, Workers: 4})
-		if err != nil {
-			t.Fatalf("portfolio (%v): %v", P, err)
-		}
-		if serial.Automaton.String() != pf.Automaton.String() {
-			t.Errorf("input %v:\nserial:\n%s\nportfolio:\n%s", P, serial.Automaton, pf.Automaton)
-		}
-		if serial.Stats.FinalStates != pf.Stats.FinalStates {
-			t.Errorf("input %v: serial %d states, portfolio %d",
-				P, serial.Stats.FinalStates, pf.Stats.FinalStates)
-		}
-		if serial.AcceptsInput != pf.AcceptsInput {
-			t.Errorf("input %v: acceptance disagrees", P)
 		}
 	}
 }
@@ -191,19 +129,14 @@ func TestEncodingSolveDeadlineUnknown(t *testing.T) {
 		segments = append(segments, seq[i:i+3])
 		anchored = append(anchored, i == 0)
 	}
-	enc := newEncoding(3, 3, len(symID), segments, anchored, true)
+	enc := newEncoding(3, len(symID), segments, anchored, true)
 	enc.blockGram(segments[0])
 	// The conflict budget is only checked between restart segments, so
 	// shrink those too — otherwise the first segment alone (default 100
 	// conflicts) completes the ~5-conflict proof.
 	enc.solver.RestartBase = 1
-	if st := enc.solve(time.Now().Add(-time.Second), nil); st != sat.Unknown {
+	if st := enc.solve(time.Now().Add(-time.Second)); st != sat.Unknown {
 		t.Fatalf("expired deadline mid-solve returned %v, want Unknown", st)
-	}
-	var stop atomic.Bool
-	stop.Store(true)
-	if st := enc.solve(time.Time{}, &stop); st != sat.Unknown {
-		t.Fatalf("stopped solve returned %v, want Unknown", st)
 	}
 }
 
@@ -235,18 +168,5 @@ func TestBudgetExceededNearZeroDeadline(t *testing.T) {
 	}
 	if errors.Is(ErrTimeout, ErrBudgetExceeded) {
 		t.Error("ErrTimeout must not match ErrBudgetExceeded")
-	}
-}
-
-// TestPortfolioWithTimeout: the portfolio path honours deadlines too.
-func TestPortfolioWithTimeout(t *testing.T) {
-	res, err := GenerateModelSeqs(seqsOf(repeatPattern(10, 3)), Options{
-		Segmented: true, Timeout: time.Nanosecond, Portfolio: 4, Workers: 4,
-	})
-	if err == nil || !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout-class", err)
-	}
-	if res.Automaton != nil {
-		t.Fatal("automaton returned despite timeout")
 	}
 }

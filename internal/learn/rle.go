@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/automaton"
@@ -379,7 +378,7 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 	if opts.Resume != nil {
 		st := opts.Resume
 		for i, g := range st.Blocked {
-			// Blocking a gram enumerates capacity^(len+1) state paths,
+			// Blocking a gram enumerates N^(len+1) state paths,
 			// so a wrong length must fail here, not in the encoder.
 			if len(g) != l {
 				return nil, fmt.Errorf("learn: resume blocked gram %d has length %d, want the compliance length %d", i, len(g), l)
@@ -419,29 +418,25 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 	hCanonNS := tel.Hist("learn_canonical_ns", "ns")
 	cCanonSolves := tel.Count("learn_canonical_solves_total")
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	orderStates := !opts.NoSymmetryBreaking
-	buildPortfolio := func(n int, warm *encoding) *portfolio {
-		return newPortfolio(n, opts.Portfolio, workers, len(symbols), opts.MaxStates,
-			segments, anchored, blocked, orderStates, warm)
+	encode := func(n int) *encoding {
+		enc := newEncoding(n, len(symbols), segments, anchored, orderStates)
+		for _, g := range blocked {
+			enc.blockGram(g)
+		}
+		return enc
 	}
 	finish := func() {
 		stats.Duration = time.Since(start)
 		stats.CPU = cpuTime() - cpuStart
 	}
 
-	var warm *encoding
-	for n := startN; n <= opts.MaxStates; {
-		pf := buildPortfolio(n, warm)
-		warm = nil
+	for n := startN; n <= opts.MaxStates; n++ {
+		enc := encode(n)
 		refinements := resumeRefinements
 		resumeRefinements = 0
-		bumped := false
-		for !bumped {
-			// Round boundary: the portfolio state is a pure function of
+		for {
+			// Round boundary: the encoding is a pure function of
 			// (n, segments, anchored, blocked), so this is the moment
 			// the search can be snapshotted and later resumed
 			// byte-identically. The hook runs before the round's solver
@@ -481,15 +476,13 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 			}
 			before := stats
 			t0 := time.Now()
-			status, capUnsat := pf.solve(deadline)
+			status := enc.solve(deadline)
 			hSolveNS.Since(t0)
 			tel.Prof().Observe("solve", time.Since(t0))
-			pf.addStats(&stats)
+			enc.addStats(&stats)
 			if tr.Enabled() {
 				tr.End(solveSpan,
 					pipeline.Str("status", status.String()),
-					pipeline.Str("winner", pf.winner),
-					pipeline.Int("spec_core", int64(pf.specCore)),
 					pipeline.Int("conflicts", stats.SATConflicts-before.SATConflicts),
 					pipeline.Int("decisions", stats.SATDecisions-before.SATDecisions),
 					pipeline.Int("propagations", stats.SATPropagations-before.SATPropagations))
@@ -499,23 +492,11 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 				return &Result{Stats: stats}, ErrBudgetExceeded
 			}
 			if status == sat.Unsat {
-				// No n-state automaton: escalate. When the
-				// speculative member proved its unrestricted
-				// capacity unsatisfiable too, n+1 is already
-				// settled and the search skips to n+2, promoting
-				// the speculative solver as a warm start
-				// otherwise.
-				next := n + 1
-				if capUnsat {
-					next = n + 2
-				}
-				warm = pf.takeWarm(next)
-				n = next
-				bumped = true
-				continue
+				break // no n-state automaton: escalate
 			}
 			t0 = time.Now()
-			m, probes := pf.canonicalModel(symbols)
+			probes := enc.canonicalize()
+			m := enc.extract(symbols)
 			hCanonNS.Since(t0)
 			cCanonSolves.Add(int64(probes))
 
@@ -537,11 +518,11 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 				if opts.ScratchRefinement {
 					// Pre-incremental behaviour: re-encode with the
 					// blocking clauses instead of extending the live
-					// solvers.
-					pf = buildPortfolio(n, nil)
+					// solver.
+					enc = encode(n)
 				} else {
 					for _, g := range invalid {
-						pf.blockGram(g)
+						enc.blockGram(g)
 					}
 				}
 				continue
@@ -563,13 +544,11 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 					// Hand the live solver state to the Live engine;
 					// nothing below aliases it after this return.
 					*opts.retain = searchRetained{
-						pf:           pf,
-						n:            n,
+						enc:          enc,
 						acceptWindow: acceptWindow,
 						blocked:      blocked,
 						segments:     segments,
 						anchored:     anchored,
-						numSyms:      len(symbols),
 					}
 				}
 				return &Result{Automaton: m, AcceptsInput: true, Stats: stats}, nil
@@ -609,17 +588,16 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 			}
 			if opts.ScratchRefinement {
 				// Pre-incremental behaviour: discard the live
-				// solvers and re-encode from scratch.
-				pf = buildPortfolio(n, nil)
+				// solver and re-encode from scratch.
+				enc = encode(n)
 				refinements = 0
 			} else if added {
-				pf.addSegment(segments[idx], anchored[idx])
+				enc.addSegment(segments[idx], anchored[idx])
 			} else {
-				pf.anchorSegment(idx)
+				enc.anchorSegment(idx)
 			}
 		}
 	}
-	stats.Duration = time.Since(start)
-	stats.CPU = cpuTime() - cpuStart
+	finish()
 	return &Result{Stats: stats}, fmt.Errorf("%w (max %d states, %d segments)", ErrNoAutomaton, opts.MaxStates, len(segments))
 }

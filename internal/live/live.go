@@ -8,7 +8,7 @@
 //     by stepping the automaton in O(1) per run (self-loops absorb
 //     whole runs) with zero solver work;
 //   - extension: genuinely new unique segments extend the retained
-//     solver portfolio incrementally (learn.Live), and the revised
+//     solver incrementally (learn.Live), and the revised
 //     model is byte-identical to a batch relearn over the same prefix;
 //   - re-minimization: every ReminimizeEvery new segments — and always
 //     when extension would be unsound (new symbol, stale blocked gram)

@@ -37,59 +37,51 @@ func (f *feeder) feed(key string, count int) {
 // a fresh batch GenerateModelSeqs over the watermarked prefix must
 // produce the byte-identical automaton.
 func TestMaintainerMatchesBatchAtEveryVersion(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		opts := learn.Options{Workers: workers}
-		if workers > 1 {
-			opts.Portfolio = 4
+	m, err := NewMaintainer(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newFeeder(t, m)
+	var word []string
+	emitted := 0
+	m.opts.OnVersion = func(v Version) {
+		emitted++
+		prefix := word[:v.Steps]
+		seq := learn.NewSeq()
+		for _, s := range prefix {
+			seq.Append(s, 1)
 		}
-		m, err := NewMaintainer(Options{Learn: opts})
+		res, err := learn.GenerateModelSeqs([]*learn.Seq{seq}, learn.Options{Segmented: true})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("v%d: batch over %d steps: %v", v.Version, v.Steps, err)
 		}
-		f := newFeeder(t, m)
-		var word []string
-		emitted := 0
-		m.opts.OnVersion = func(v Version) {
-			emitted++
-			prefix := word[:v.Steps]
-			batchOpts := opts
-			batchOpts.Segmented = true
-			seq := learn.NewSeq()
-			for _, s := range prefix {
-				seq.Append(s, 1)
-			}
-			res, err := learn.GenerateModelSeqs([]*learn.Seq{seq}, batchOpts)
-			if err != nil {
-				t.Fatalf("workers=%d v%d: batch over %d steps: %v", workers, v.Version, v.Steps, err)
-			}
-			if lm, bm := m.Model().String(), res.Automaton.String(); lm != bm {
-				t.Fatalf("workers=%d v%d (steps %d): live vs batch:\n%s\nvs\n%s",
-					workers, v.Version, v.Steps, lm, bm)
-			}
+		if lm, bm := m.Model().String(), res.Automaton.String(); lm != bm {
+			t.Fatalf("v%d (steps %d): live vs batch:\n%s\nvs\n%s",
+				v.Version, v.Steps, lm, bm)
 		}
-		// A protocol-ish stream whose behaviour widens over time.
-		script := []struct {
-			key   string
-			count int
-		}{
-			{"send", 1}, {"ack", 1}, {"send", 1}, {"ack", 1},
-			{"send", 1}, {"ack", 1}, {"timeout", 1},
-			{"send", 1}, {"ack", 1}, {"send", 1}, {"ack", 1}, {"timeout", 1},
-			{"send", 1}, {"send", 1}, {"ack", 1}, // retry: new behaviour
-			{"send", 1}, {"ack", 1}, {"timeout", 1},
+	}
+	// A protocol-ish stream whose behaviour widens over time.
+	script := []struct {
+		key   string
+		count int
+	}{
+		{"send", 1}, {"ack", 1}, {"send", 1}, {"ack", 1},
+		{"send", 1}, {"ack", 1}, {"timeout", 1},
+		{"send", 1}, {"ack", 1}, {"send", 1}, {"ack", 1}, {"timeout", 1},
+		{"send", 1}, {"send", 1}, {"ack", 1}, // retry: new behaviour
+		{"send", 1}, {"ack", 1}, {"timeout", 1},
+	}
+	for _, s := range script {
+		for i := 0; i < s.count; i++ {
+			word = append(word, s.key)
 		}
-		for _, s := range script {
-			for i := 0; i < s.count; i++ {
-				word = append(word, s.key)
-			}
-			f.feed(s.key, s.count)
-		}
-		if err := m.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		if emitted == 0 || m.Version() == 0 {
-			t.Fatalf("workers=%d: no versions emitted", workers)
-		}
+		f.feed(s.key, s.count)
+	}
+	if err := m.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if emitted == 0 || m.Version() == 0 {
+		t.Fatal("no versions emitted")
 	}
 }
 
@@ -98,7 +90,7 @@ func TestMaintainerMatchesBatchAtEveryVersion(t *testing.T) {
 // further runs cost zero solver calls and create no versions.
 func TestMaintainerFastPathZeroSolverCalls(t *testing.T) {
 	tel := &pipeline.Telemetry{Registry: pipeline.NewRegistry()}
-	m, err := NewMaintainer(Options{Learn: learn.Options{Workers: 1}, Telemetry: tel})
+	m, err := NewMaintainer(Options{Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +134,6 @@ func TestMaintainerDivergenceEvent(t *testing.T) {
 	tel := &pipeline.Telemetry{Registry: pipeline.NewRegistry()}
 	var events []Divergence
 	m, err := NewMaintainer(Options{
-		Learn:        learn.Options{Workers: 1},
 		Telemetry:    tel,
 		OnDivergence: func(d Divergence) { events = append(events, d) },
 	})
@@ -203,7 +194,7 @@ func TestMaintainerDivergenceEvent(t *testing.T) {
 // TestMaintainerHistoryBounded: the version ring and divergence tail
 // stay within MaxVersions while the counters stay exact.
 func TestMaintainerHistoryBounded(t *testing.T) {
-	m, err := NewMaintainer(Options{Learn: learn.Options{Workers: 1}, MaxVersions: 2})
+	m, err := NewMaintainer(Options{MaxVersions: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +230,7 @@ func TestMaintainerHistoryBounded(t *testing.T) {
 // TestMaintainerTooShort: a stream shorter than the segmentation
 // window cannot be learned from and Finish says so.
 func TestMaintainerTooShort(t *testing.T) {
-	m, err := NewMaintainer(Options{Learn: learn.Options{Workers: 1}})
+	m, err := NewMaintainer(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

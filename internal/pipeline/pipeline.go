@@ -1,8 +1,8 @@
 // Package pipeline provides light-weight per-stage metrics for the
 // learning pipeline: wall-clock and CPU time plus named counters for
 // each stage (predicate abstraction, model construction). cmd/repro
-// prints a stage table per experiment; the CPU column shows concurrent
-// work (the solver portfolio) as CPU time above wall time.
+// prints a stage table per experiment; CPU time above wall time there
+// is work on other threads, such as the garbage collector's.
 package pipeline
 
 import (

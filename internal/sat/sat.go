@@ -33,7 +33,6 @@ package sat
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 )
 
 // Lit is a literal: a propositional variable or its negation.
@@ -214,10 +213,6 @@ type Solver struct {
 	// in Unsat.
 	core []Lit
 
-	// stop aborts the in-progress solve with Unknown when set (see
-	// Interrupt); cleared on entry to SolveAssuming.
-	stop atomic.Bool
-
 	// scratch buffers, reused across calls so the hot loops allocate
 	// only when a buffer grows.
 	seen       []bool
@@ -238,12 +233,7 @@ type Solver struct {
 
 	// RestartBase scales the Luby restart sequence: the first restart
 	// fires after RestartBase conflicts. Zero means 100, the default.
-	// Portfolio solving races solvers that differ in this knob.
 	RestartBase int64
-
-	// Decay is the VSIDS activity decay divisor in (0, 1); smaller
-	// values focus harder on recent conflicts. Zero means 0.95.
-	Decay float64
 }
 
 // Stats counts solver work, exposed for the scalability experiments.
@@ -632,30 +622,9 @@ func (s *Solver) bumpClause(c cref) {
 	}
 }
 
-func (s *Solver) decayActivities() {
-	d := s.Decay
-	if d == 0 {
-		d = 0.95
-	}
-	s.varInc /= d
-}
-
-// BumpActivity raises variable v's activity by the given amount.
-// Seeding activities before the first solve changes the initial
-// branching order — one of the portfolio's diversification knobs.
-func (s *Solver) BumpActivity(v int, amount float64) {
-	if amount <= 0 {
-		return
-	}
-	s.activity[v] += amount
-	s.heap.update(v)
-}
-
-// Interrupt makes the in-progress (or next) solve return Unknown at
-// the next conflict or decision. It is the only Solver method safe to
-// call from another goroutine; a portfolio uses it to stop losing
-// solvers promptly. The flag clears when a new solve starts.
-func (s *Solver) Interrupt() { s.stop.Store(true) }
+// varDecay is the VSIDS activity decay divisor: each conflict divides
+// the bump increment by it, so recent conflicts weigh more.
+const varDecay = 0.95
 
 // backtrack undoes assignments above the given level.
 func (s *Solver) backtrack(level int) {
@@ -847,7 +816,6 @@ func (s *Solver) Solve() Status { return s.SolveAssuming() }
 // drop back to level 0, so no kept level outlives a change to the
 // clause set.
 func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
-	s.stop.Store(false)
 	s.core = nil
 	if !s.ok {
 		s.core = []Lit{}
@@ -887,10 +855,6 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 			// solve to its kept prefix.
 			return st
 		}
-		if s.stop.Load() {
-			s.backtrack(0)
-			return Unknown
-		}
 		s.Stats.Restarts++
 		if s.MaxConflicts > 0 && s.Stats.Conflicts-conflictsAtStart >= s.MaxConflicts {
 			s.backtrack(0)
@@ -907,18 +871,14 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 // until the next solve.
 func (s *Solver) UnsatCore() []Lit { return s.core }
 
-// search runs CDCL until a result, a conflict budget exhaustion
-// (returns Unknown, triggering a restart), or an interrupt. Pending
+// search runs CDCL until a result or a conflict budget exhaustion
+// (returns Unknown, triggering a restart). Pending
 // assumptions are installed as decision levels before any free
 // decision; an assumption found false ends the search with Unsat and
 // a final conflict, without condemning the clause set.
 func (s *Solver) search(budget int64, maxLearnts *int64) Status {
 	var conflicts int64
 	for {
-		if s.stop.Load() {
-			s.backtrack(0)
-			return Unknown
-		}
 		confl := s.propagate()
 		if confl != crefUndef {
 			s.Stats.Conflicts++
@@ -947,7 +907,7 @@ func (s *Solver) search(budget int64, maxLearnts *int64) Status {
 					return Unsat
 				}
 			}
-			s.decayActivities()
+			s.varInc /= varDecay
 			continue
 		}
 		if conflicts >= budget {

@@ -2,7 +2,6 @@ package repro_test
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -49,10 +48,10 @@ func runLiveCSV(t *testing.T, csvBytes []byte, opts repro.LearnOptions, lopts re
 // TestLiveMatchesBatchEveryVersion is the ISSUE's property test: for
 // the counter, fifo, and serial workloads, the live-maintained model at
 // every version boundary V must be byte-identical to a fresh batch
-// learn over exactly the prefix the version's watermark covers — at
-// worker counts 1 and 4, portfolio off and on. A version covering S
-// predicate steps corresponds to the first S+w-1 observations (the
-// generator's window w spans w observations per symbol).
+// learn over exactly the prefix the version's watermark covers. A
+// version covering S predicate steps corresponds to the first S+w-1
+// observations (the generator's window w spans w observations per
+// symbol).
 func TestLiveMatchesBatchEveryVersion(t *testing.T) {
 	const steps = 240
 	for _, workload := range []string{"counter", "fifo", "serial"} {
@@ -62,53 +61,47 @@ func TestLiveMatchesBatchEveryVersion(t *testing.T) {
 		}
 		lines := strings.SplitAfter(buf.String(), "\n")
 		header, data := lines[0], lines[1:]
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", workload, workers), func(t *testing.T) {
-				opts := repro.LearnOptions{Workers: workers}
-				if workers > 1 {
-					opts.Portfolio = 4
+		t.Run(workload, func(t *testing.T) {
+			mnt, p, recs := runLiveCSV(t, buf.Bytes(), repro.LearnOptions{}, repro.LiveOptions{})
+			if len(recs) == 0 {
+				t.Fatal("no versions emitted")
+			}
+			w := p.Generator().Window()
+			for _, rec := range recs {
+				obsCount := int(rec.v.Steps) + w - 1
+				if obsCount > len(data) {
+					t.Fatalf("v%d watermark %d steps exceeds %d observations", rec.v.Version, rec.v.Steps, len(data))
 				}
-				mnt, p, recs := runLiveCSV(t, buf.Bytes(), opts, repro.LiveOptions{})
-				if len(recs) == 0 {
-					t.Fatal("no versions emitted")
-				}
-				w := p.Generator().Window()
-				for _, rec := range recs {
-					obsCount := int(rec.v.Steps) + w - 1
-					if obsCount > len(data) {
-						t.Fatalf("v%d watermark %d steps exceeds %d observations", rec.v.Version, rec.v.Steps, len(data))
-					}
-					prefix := header + strings.Join(data[:obsCount], "")
-					psrc, err := trace.NewCSVSource(strings.NewReader(prefix))
-					if err != nil {
-						t.Fatal(err)
-					}
-					batch, err := repro.LearnSource(psrc, opts)
-					if err != nil {
-						t.Fatalf("v%d: batch relearn over %d observations: %v", rec.v.Version, obsCount, err)
-					}
-					if bs := batch.Automaton.String(); bs != rec.model {
-						t.Fatalf("v%d (steps %d): live model diverged from batch over the same prefix:\nlive:\n%s\nbatch:\n%s",
-							rec.v.Version, rec.v.Steps, rec.model, bs)
-					}
-				}
-				// The final live model must equal a batch learn over the
-				// whole stream (the last version's watermark is the
-				// stream end whenever the tail carried new evidence; this
-				// pins it even when the tail was all fast-path).
-				fsrc, err := trace.NewCSVSource(bytes.NewReader(buf.Bytes()))
+				prefix := header + strings.Join(data[:obsCount], "")
+				psrc, err := trace.NewCSVSource(strings.NewReader(prefix))
 				if err != nil {
 					t.Fatal(err)
 				}
-				full, err := repro.LearnSource(fsrc, opts)
+				batch, err := repro.LearnSource(psrc, repro.LearnOptions{})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("v%d: batch relearn over %d observations: %v", rec.v.Version, obsCount, err)
 				}
-				if fs, ls := full.Automaton.String(), mnt.Model().String(); fs != ls {
-					t.Fatalf("final live model diverged from batch over the full stream:\nlive:\n%s\nbatch:\n%s", ls, fs)
+				if bs := batch.Automaton.String(); bs != rec.model {
+					t.Fatalf("v%d (steps %d): live model diverged from batch over the same prefix:\nlive:\n%s\nbatch:\n%s",
+						rec.v.Version, rec.v.Steps, rec.model, bs)
 				}
-			})
-		}
+			}
+			// The final live model must equal a batch learn over the
+			// whole stream (the last version's watermark is the
+			// stream end whenever the tail carried new evidence; this
+			// pins it even when the tail was all fast-path).
+			fsrc, err := trace.NewCSVSource(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := repro.LearnSource(fsrc, repro.LearnOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fs, ls := full.Automaton.String(), mnt.Model().String(); fs != ls {
+				t.Fatalf("final live model diverged from batch over the full stream:\nlive:\n%s\nbatch:\n%s", ls, fs)
+			}
+		})
 	}
 }
 
@@ -128,7 +121,7 @@ func TestLiveReminimizePolicyIdentical(t *testing.T) {
 	}
 	var baseline []boundary
 	for i, every := range []int{0, 1, 4} {
-		mnt, _, recs := runLiveCSV(t, buf.Bytes(), repro.LearnOptions{Workers: 1},
+		mnt, _, recs := runLiveCSV(t, buf.Bytes(), repro.LearnOptions{},
 			repro.LiveOptions{ReminimizeEvery: every})
 		var got []boundary
 		for _, rec := range recs {

@@ -156,18 +156,6 @@ type LearnOptions struct {
 	NoSymmetryBreaking bool
 	// Timeout bounds the model-construction search.
 	Timeout time.Duration
-	// Portfolio races this many SAT solver configurations per solve
-	// during model construction (canonical, speculative N+1, restart
-	// and decay variants — see internal/learn). Zero or one selects
-	// the serial path. The learned model is identical for every
-	// Portfolio and Workers setting.
-	Portfolio int
-	// Workers bounds how many portfolio members solve concurrently;
-	// it has no effect without Portfolio > 1. Zero means one per
-	// available CPU. Predicate abstraction is always one serial pass.
-	// The result is bit-for-bit identical either way (see
-	// learn.Options.Workers).
-	Workers int
 	// Synth tunes the predicate synthesizer.
 	Synth synth.Options
 	// Telemetry attaches a run tracer and metric registry to the
@@ -342,8 +330,6 @@ func NewPipeline(schema *Schema, opts LearnOptions) (*Pipeline, error) {
 			Segmented:          !opts.NonSegmented,
 			Timeout:            opts.Timeout,
 			NoSymmetryBreaking: opts.NoSymmetryBreaking,
-			Portfolio:          opts.Portfolio,
-			Workers:            opts.Workers,
 		},
 		Telemetry:  opts.Telemetry,
 		Context:    opts.Context,

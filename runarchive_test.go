@@ -66,7 +66,6 @@ func learnTracedStream(t testing.TB, data []byte, path string, policy repro.Samp
 		t.Fatal(err)
 	}
 	model, err := repro.LearnSource(src, repro.LearnOptions{
-		Workers:   1,
 		Telemetry: &repro.Telemetry{Tracer: tr, Registry: repro.NewRegistry()},
 	})
 	if err != nil {
@@ -249,7 +248,6 @@ func TestTracerKillAndInspect(t *testing.T) {
 		return nil
 	}}
 	_, err = repro.LearnSource(cut, repro.LearnOptions{
-		Workers:   1,
 		Context:   ctx,
 		Telemetry: &repro.Telemetry{Tracer: tr, Registry: repro.NewRegistry()},
 	})

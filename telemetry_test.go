@@ -130,7 +130,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if !ok || h.Count <= 0 || h.P95 < h.P50 {
 		t.Errorf("manifest solver_call_ns summary = %+v", h)
 	}
-	// Canonical extraction is timed apart from the portfolio solve:
+	// Canonical extraction is timed apart from the solve:
 	// once per Sat round, so at most once per solver call.
 	if c, ok := got.Histograms["learn_canonical_ns"]; !ok || c.Count <= 0 || c.Count > h.Count {
 		t.Errorf("manifest learn_canonical_ns summary = %+v (solver calls %d)", c, h.Count)

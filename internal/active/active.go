@@ -124,8 +124,8 @@ func Conformance(m *core.Model, probe *trace.Trace) (*Verdict, error) {
 	}
 	cur := m.Automaton.Initial()
 	for i, sym := range P {
-		succ := m.Automaton.Successors(cur, sym)
-		if len(succ) == 0 {
+		next, ok := m.Automaton.Step(cur, sym)
+		if !ok {
 			lo := i - witnessContext
 			if lo < 0 {
 				lo = 0
@@ -137,7 +137,7 @@ func Conformance(m *core.Model, probe *trace.Trace) (*Verdict, error) {
 				Witness:     append([]string(nil), P[lo:i+1]...),
 			}, nil
 		}
-		cur = succ[0]
+		cur = next
 	}
 	return &Verdict{Conforms: true}, nil
 }

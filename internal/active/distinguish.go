@@ -122,9 +122,8 @@ func (u *unrolling) encodeRun(m *automaton.NFA, d int) []int {
 		u.s.AddClause(sat.Neg(dead[t]), sat.Pos(dead[t+1]))
 		for i := 0; i < n; i++ {
 			for k, symb := range u.sigma {
-				succ := m.Successors(automaton.State(i), symb)
-				if len(succ) > 0 {
-					u.s.AddClause(sat.Neg(q[t][i]), sat.Neg(u.sym[t][k]), sat.Pos(q[t+1][int(succ[0])]))
+				if next, ok := m.Step(automaton.State(i), symb); ok {
+					u.s.AddClause(sat.Neg(q[t][i]), sat.Neg(u.sym[t][k]), sat.Pos(q[t+1][int(next)]))
 				} else {
 					u.s.AddClause(sat.Neg(q[t][i]), sat.Neg(u.sym[t][k]), sat.Pos(dead[t+1]))
 				}

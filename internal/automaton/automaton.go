@@ -113,6 +113,18 @@ func (m *NFA) Successors(from State, symbol string) []State {
 	return append([]State(nil), m.delta[from][symbol]...)
 }
 
+// Step returns the least successor of (from, symbol) — the only one in
+// a deterministic automaton — and false when there is none. Unlike
+// Successors it copies nothing, so walking a trace through a model
+// allocates nothing per step.
+func (m *NFA) Step(from State, symbol string) (State, bool) {
+	succ := m.delta[from][symbol]
+	if len(succ) == 0 {
+		return 0, false
+	}
+	return succ[0], true
+}
+
 // Transitions returns all edges in deterministic order (by from state,
 // then symbol first-seen order, then to state).
 func (m *NFA) Transitions() []Transition {

@@ -53,6 +53,26 @@ func TestAddTransition(t *testing.T) {
 	}
 }
 
+// TestStep: Step agrees with the first of Successors on every (state,
+// symbol) pair, absent symbols included, and copies nothing.
+func TestStep(t *testing.T) {
+	m := counterNFA(t)
+	m.MustAddTransition(1, "down", 0) // a nondeterministic pair: least successor first
+	m.MustAddTransition(3, "up", 3)
+	for q := State(0); q < 4; q++ {
+		for _, sym := range []string{"up", "peak", "down", "low", "absent"} {
+			got, ok := m.Step(q, sym)
+			succ := m.Successors(q, sym)
+			if ok != (len(succ) > 0) || ok && got != succ[0] {
+				t.Errorf("Step(%d, %s) = %d, %v; Successors = %v", q, sym, got, ok, succ)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { m.Step(2, "down") }); allocs != 0 {
+		t.Errorf("Step allocates %.1f times", allocs)
+	}
+}
+
 func TestAcceptsAndRun(t *testing.T) {
 	m := counterNFA(t)
 	accepted := [][]string{

@@ -94,11 +94,11 @@ func (m *Model) StateInvariants(tr *trace.Trace, maxSymValues int) ([]StateInvar
 	err := m.pipeline.gen.SequenceSource(trace.NewTraceSource(tr), func(r predicate.Run) error {
 		for end := i + r.Count; i < end; i++ {
 			record(cur, tr.At(i))
-			succ := m.Automaton.Successors(cur, r.Pred.Key)
-			if len(succ) == 0 {
+			next, ok := m.Automaton.Step(cur, r.Pred.Key)
+			if !ok {
 				return fmt.Errorf("core: trace leaves the model at position %d (%s); invariants require a conforming trace", i, r.Pred.Key)
 			}
-			cur = succ[0]
+			cur = next
 		}
 		return nil
 	})

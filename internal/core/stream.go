@@ -279,8 +279,8 @@ func (m *Model) CheckSource(src trace.Source) (*Violation, error) {
 	var v *Violation
 	err := m.pipeline.gen.SequenceSource(src, func(r predicate.Run) error {
 		for i := 0; i < r.Count; i++ {
-			succ := m.Automaton.Successors(cur, r.Pred.Key)
-			if len(succ) == 0 {
+			next, ok := m.Automaton.Step(cur, r.Pred.Key)
+			if !ok {
 				v = &Violation{
 					Position:    pos,
 					Predicate:   r.Pred.Key,
@@ -289,12 +289,12 @@ func (m *Model) CheckSource(src trace.Source) (*Violation, error) {
 				}
 				return errCheckDone
 			}
-			if succ[0] == cur {
+			if next == cur {
 				// Self-loop: the rest of the run stays put.
 				pos += r.Count - i
 				break
 			}
-			cur = succ[0]
+			cur = next
 			pos++
 		}
 		return nil

@@ -43,7 +43,8 @@ import (
 //
 // The encoding is incremental within a state count: blockGram and
 // addSegment extend the live solver, which keeps its learned clauses.
-// A new state count gets a new encoding.
+// A new state count gets a new encoding, which may be built on the
+// previous one's solver after a Reset (see newEncoding).
 type encoding struct {
 	n       int // states
 	numSyms int
@@ -64,15 +65,29 @@ type encoding struct {
 	// rel is the canonical n·|Σ|·n transition relation the latest
 	// canonicalize computed (see tVar for the flat index).
 	rel []bool
+
+	// Scratch reused across calls: the clause under construction, the
+	// state path blockGram enumerates, canonicalize's assumptions.
+	lits  []sat.Lit
+	path  []int
+	fixed []sat.Lit
 }
 
 // newEncoding builds the hypothesis for n states over the given
 // segments. Segments are added through the same addSegment used for
 // live extension, so an encoding built with k segments is
 // variable-for-variable identical to one built with fewer and extended
-// afterwards.
-func newEncoding(n, numSyms int, segments [][]int, anchored []bool, orderStates bool) *encoding {
-	e := &encoding{n: n, numSyms: numSyms, solver: sat.New()}
+// afterwards. A non-nil spare solver is Reset and built on instead of
+// a new one: the clauses, variables and therefore every search step
+// are the same, only the solver's buffers are reused. The spare's
+// previous encoding must not be used afterwards.
+func newEncoding(n, numSyms int, segments [][]int, anchored []bool, orderStates bool, spare *sat.Solver) *encoding {
+	if spare == nil {
+		spare = sat.New()
+	} else {
+		spare.Reset()
+	}
+	e := &encoding{n: n, numSyms: numSyms, solver: spare}
 
 	// Transition-function variables.
 	e.tVars = make([][][]int, n)
@@ -126,11 +141,11 @@ func (e *encoding) addSegment(seg []int, anchor bool) {
 		}
 		slots[j] = states
 		// At least one state.
-		lits := make([]sat.Lit, e.n)
+		e.lits = e.lits[:0]
 		for s := 0; s < e.n; s++ {
-			lits[s] = sat.Pos(states[s])
+			e.lits = append(e.lits, sat.Pos(states[s]))
 		}
-		e.solver.AddClause(lits...)
+		e.solver.AddClause(e.lits...)
 		// At most one state.
 		for a := 0; a < e.n; a++ {
 			for b := a + 1; b < e.n; b++ {
@@ -213,26 +228,32 @@ func (e *encoding) anchorSegment(i int) {
 
 // blockGram forbids every state path realising the symbol-id word g:
 // for all state paths s0..sl, at least one of the involved transitions
-// must be absent.
+// must be absent. Paths are enumerated in lexicographic order, the
+// last state varying fastest.
 func (e *encoding) blockGram(g []int) {
 	l := len(g)
-	path := make([]int, l+1)
-	var rec func(depth int)
-	rec = func(depth int) {
-		if depth == l+1 {
-			lits := make([]sat.Lit, l)
-			for k := 0; k < l; k++ {
-				lits[k] = sat.Neg(e.tVars[path[k]][g[k]][path[k+1]])
+	if cap(e.path) < l+1 {
+		e.path = make([]int, l+1)
+	}
+	path := e.path[:l+1]
+	clear(path)
+	for {
+		e.lits = e.lits[:0]
+		for k := 0; k < l; k++ {
+			e.lits = append(e.lits, sat.Neg(e.tVars[path[k]][g[k]][path[k+1]]))
+		}
+		e.solver.AddClause(e.lits...)
+		d := l
+		for ; d >= 0; d-- {
+			if path[d]++; path[d] < e.n {
+				break
 			}
-			e.solver.AddClause(lits...)
+			path[d] = 0
+		}
+		if d < 0 {
 			return
 		}
-		for s := 0; s < e.n; s++ {
-			path[depth] = s
-			rec(depth + 1)
-		}
 	}
-	rec(0)
 }
 
 // solveChunkConflicts is the conflict budget per solver call when a
@@ -297,7 +318,10 @@ func (e *encoding) canonicalize() (solves int) {
 	}
 	e.rel = e.rel[:k]
 	e.snapshot(0)
-	fixed := make([]sat.Lit, 0, k)
+	if cap(e.fixed) < k {
+		e.fixed = make([]sat.Lit, 0, k)
+	}
+	fixed := e.fixed[:0]
 	for i := range e.rel {
 		v := e.tVar(i)
 		if e.rel[i] {

@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/automaton"
 	"repro/internal/pipeline"
+	"repro/internal/sat"
 )
 
 // Options tunes GenerateModelSeqs.
@@ -99,6 +100,12 @@ type Options struct {
 	// the Live engine can keep extending it incrementally instead of
 	// relearning from scratch. Unexported: only live.go sets it.
 	retain *searchRetained
+	// spare, when non-nil, is a solver the search may Reset and build
+	// its first encoding on instead of allocating one; the caller must
+	// not use it, or the encoding it belonged to, afterwards.
+	// Unexported: only live.go sets it, lending the retained solver to
+	// the re-minimization that replaces it.
+	spare *sat.Solver
 }
 
 // searchRetained is the solver state GenerateModelSeqs leaves behind

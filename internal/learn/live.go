@@ -111,8 +111,9 @@ type Live struct {
 	freshGrams bool // a gram became valid since the last solve fixpoint
 	keyBuf     []byte
 
-	// Retained search state (nil enc until the first learn). The
-	// encoding fixes the retained level enc.n and the alphabet size
+	// Retained search state (nil enc until the first learn, and after a
+	// re-minimization that failed: its solver was lent to that search).
+	// The encoding fixes the retained level enc.n and the alphabet size
 	// enc.numSyms its transition variables were built for.
 	enc          *encoding
 	acceptWindow int
@@ -318,11 +319,18 @@ func (l *Live) Revise(forceRemin bool) (reminimized bool, err error) {
 }
 
 // reminimize relearns from the whole sequence — the canonical path —
-// and adopts the search's live state for future extension.
+// and adopts the search's live state for future extension. The search
+// builds on the retained solver, which the retained encoding then no
+// longer owns: it is dropped first, so a failed search leaves the
+// model but no encoding, and the next Revise re-minimizes again.
 func (l *Live) reminimize() error {
 	opts := l.opts
 	var ret searchRetained
 	opts.retain = &ret
+	if l.enc != nil {
+		opts.spare = l.enc.solver
+		l.enc = nil
+	}
 	res, err := GenerateModelSeqs([]*Seq{l.seq}, opts)
 	if err != nil {
 		return err
@@ -498,9 +506,11 @@ func (l *Live) extend() error {
 // Checkpoint snapshots the retained search state in the same form the
 // batch search checkpoints: resuming a fresh GenerateModelSeqs from it
 // (over the same sequence) reproduces the current model without any
-// refinement work. Nil before the first successful revision.
+// refinement work. Nil when there is no retained search: before the
+// first successful revision, and after a failed re-minimization until
+// the next successful one.
 func (l *Live) Checkpoint() *CheckpointState {
-	if l.model == nil {
+	if l.enc == nil {
 		return nil
 	}
 	return &CheckpointState{
@@ -518,12 +528,15 @@ func (l *Live) SeqState() *SeqState { return l.seq.State() }
 
 // Dirty reports whether evidence has arrived that the current model is
 // not yet constrained by — new segments, newly valid grams, new
-// symbols, or a stale retained blocked gram — or no model exists yet.
-// A clean learner's model is already byte-identical to a batch relearn
-// (up to full-sequence acceptance, which the maintainer's fast-path
-// stepping verifies), so callers skip Revise entirely while clean.
+// symbols, or a stale retained blocked gram — or no retained search
+// exists: before the first model, and after a failed re-minimization
+// (whose model is the last good one, but whose solver is gone), so the
+// next Revise re-minimizes. A clean learner's model is already
+// byte-identical to a batch relearn (up to full-sequence acceptance,
+// which the maintainer's fast-path stepping verifies), so callers skip
+// Revise entirely while clean.
 func (l *Live) Dirty() bool {
-	return l.model == nil || len(l.pending) > 0 || l.stale || l.freshGrams ||
+	return l.enc == nil || len(l.pending) > 0 || l.stale || l.freshGrams ||
 		len(l.seq.syms) > l.enc.numSyms
 }
 
@@ -540,14 +553,14 @@ func (l *Live) Walk() (automaton.State, bool) {
 	for i, id := range l.seq.ids {
 		key := l.seq.syms[id]
 		for j := int32(0); j < l.seq.counts[i]; j++ {
-			succ := m.Successors(cur, key)
-			if len(succ) == 0 {
+			next, ok := m.Step(cur, key)
+			if !ok {
 				return cur, false
 			}
-			if succ[0] == cur {
+			if next == cur {
 				break // self-loop absorbs the rest of the run
 			}
-			cur = succ[0]
+			cur = next
 		}
 	}
 	return cur, true

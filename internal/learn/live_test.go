@@ -1,6 +1,8 @@
 package learn
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -205,6 +207,77 @@ func TestLiveStaleBlockedGramForcesRemin(t *testing.T) {
 	}
 	if lm, bm := lv.Model().String(), batch.Automaton.String(); lm != bm {
 		t.Fatalf("post-stale model diverges from batch:\nlive:\n%s\nbatch:\n%s", lm, bm)
+	}
+}
+
+// switchCtx is a context whose cancellation a test switches on and off.
+type switchCtx struct {
+	context.Context
+	err error
+}
+
+func (c *switchCtx) Err() error { return c.err }
+
+// TestLiveFailedReminimization: a re-minimization that fails — here
+// because the context is cancelled before its first solve — has
+// already taken over the retained solver, so the learner keeps its
+// last model but no retained search. Dirty must then report true,
+// Checkpoint return nil and Walk still walk the kept model; once the
+// context clears, the next Revise re-minimizes to the batch model.
+func TestLiveFailedReminimization(t *testing.T) {
+	ctx := &switchCtx{Context: context.Background()}
+	lv, err := NewLive(Options{Segmented: true, Context: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		for _, sym := range []string{"send", "ack", "send", "ack", "timeout"} {
+			lv.Append(sym, 1)
+		}
+	}
+	if _, err := lv.Revise(false); err != nil {
+		t.Fatal(err)
+	}
+	model := lv.Model().String()
+	end, ok := lv.Walk()
+	if !ok {
+		t.Fatal("model rejects the sequence it was learned from")
+	}
+
+	ctx.err = context.Canceled
+	if _, err := lv.Revise(true); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Revise under a cancelled context = %v, want context.Canceled", err)
+	}
+	if lv.Model().String() != model {
+		t.Fatal("a failed re-minimization replaced the model")
+	}
+	if !lv.Dirty() {
+		t.Fatal("Dirty = false with no retained search")
+	}
+	if cp := lv.Checkpoint(); cp != nil {
+		t.Fatalf("Checkpoint = %+v with no retained search, want nil", cp)
+	}
+	if got, ok := lv.Walk(); !ok || got != end {
+		t.Fatalf("Walk = %d, %v after the failed re-minimization; want %d, true", got, ok, end)
+	}
+
+	ctx.err = nil
+	remin, err := lv.Revise(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !remin {
+		t.Fatal("Revise after a failed re-minimization did not re-minimize")
+	}
+	if lv.Dirty() || lv.Checkpoint() == nil {
+		t.Fatal("no retained search after a successful re-minimization")
+	}
+	batch, err := GenerateModelSeqs([]*Seq{cloneSeqFromLive(t, lv)}, Options{Segmented: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lm, bm := lv.Model().String(), batch.Automaton.String(); lm != bm {
+		t.Fatalf("recovered model diverges from batch:\nlive:\n%s\nbatch:\n%s", lm, bm)
 	}
 }
 

@@ -129,7 +129,7 @@ func TestEncodingSolveDeadlineUnknown(t *testing.T) {
 		segments = append(segments, seq[i:i+3])
 		anchored = append(anchored, i == 0)
 	}
-	enc := newEncoding(3, len(symID), segments, anchored, true)
+	enc := newEncoding(3, len(symID), segments, anchored, true, nil)
 	enc.blockGram(segments[0])
 	// The conflict budget is only checked between restart segments, so
 	// shrink those too — otherwise the first segment alone (default 100

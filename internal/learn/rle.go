@@ -193,16 +193,16 @@ func (s *rleSeq) firstReject(m *automaton.NFA, symbols []string) int {
 		sym := symbols[s.ids[r]]
 		c := int(s.counts[r])
 		for i := 0; i < c; i++ {
-			succ := m.Successors(cur, sym)
-			if len(succ) == 0 {
+			next, ok := m.Step(cur, sym)
+			if !ok {
 				return pos
 			}
-			if succ[0] == cur {
+			if next == cur {
 				// Self-loop: the rest of the run stays put.
 				pos += c - i
 				break
 			}
-			cur = succ[0]
+			cur = next
 			pos++
 		}
 	}
@@ -418,9 +418,12 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 	hCanonNS := tel.Hist("learn_canonical_ns", "ns")
 	cCanonSolves := tel.Count("learn_canonical_solves_total")
 
+	// Each encoding is built on the solver of the one it replaces —
+	// the UNSAT level below, or the discarded encoding of a scratch
+	// refinement — so the search pays for solver memory once.
 	orderStates := !opts.NoSymmetryBreaking
-	encode := func(n int) *encoding {
-		enc := newEncoding(n, len(symbols), segments, anchored, orderStates)
+	encode := func(n int, spare *sat.Solver) *encoding {
+		enc := newEncoding(n, len(symbols), segments, anchored, orderStates, spare)
 		for _, g := range blocked {
 			enc.blockGram(g)
 		}
@@ -431,8 +434,9 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 		stats.CPU = cpuTime() - cpuStart
 	}
 
+	spare := opts.spare
 	for n := startN; n <= opts.MaxStates; n++ {
-		enc := encode(n)
+		enc := encode(n, spare)
 		refinements := resumeRefinements
 		resumeRefinements = 0
 		for {
@@ -492,6 +496,7 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 				return &Result{Stats: stats}, ErrBudgetExceeded
 			}
 			if status == sat.Unsat {
+				spare = enc.solver
 				break // no n-state automaton: escalate
 			}
 			t0 = time.Now()
@@ -519,7 +524,7 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 					// Pre-incremental behaviour: re-encode with the
 					// blocking clauses instead of extending the live
 					// solver.
-					enc = encode(n)
+					enc = encode(n, enc.solver)
 				} else {
 					for _, g := range invalid {
 						enc.blockGram(g)
@@ -589,7 +594,7 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 			if opts.ScratchRefinement {
 				// Pre-incremental behaviour: discard the live
 				// solver and re-encode from scratch.
-				enc = encode(n)
+				enc = encode(n, enc.solver)
 				refinements = 0
 			} else if added {
 				enc.addSegment(segments[idx], anchored[idx])

@@ -191,8 +191,8 @@ func (m *Maintainer) step(key string, count int) (diverged bool) {
 		return false
 	}
 	for i := 0; i < count; i++ {
-		succ := model.Successors(m.cur, key)
-		if len(succ) == 0 {
+		next, ok := model.Step(m.cur, key)
+		if !ok {
 			m.divergence(Divergence{
 				Step:         m.steps + int64(i),
 				Symbol:       key,
@@ -202,10 +202,10 @@ func (m *Maintainer) step(key string, count int) (diverged bool) {
 			})
 			return true
 		}
-		if succ[0] == m.cur {
+		if next == m.cur {
 			break // self-loop absorbs the rest of the run
 		}
-		m.cur = succ[0]
+		m.cur = next
 	}
 	return false
 }

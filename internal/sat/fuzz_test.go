@@ -159,8 +159,10 @@ func checkAssuming(t *testing.T, s *Solver, nVars int, clauses [][]Lit, assumpti
 // oracle on random ≤12-variable instances: plain solving, model
 // validity, solving under assumptions with core soundness, a chain of
 // assumption solves that share, extend and flip a prefix (the kept
-// trail), solving with non-default restart/decay knobs, and an
-// incremental re-solve after blocking the first model.
+// trail), solving with non-default restart/decay knobs, an
+// incremental re-solve after blocking the first model, and a replay on
+// the same solver after Reset that must match a new solver step for
+// step.
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{3, 0, 0x02, 0x05, 0x80, 0x03, 0x04, 0x80})
 	f.Add([]byte{7, 2, 0x04, 0x09, 0x10, 0x80, 0x11, 0x80})
@@ -265,6 +267,25 @@ func FuzzSolver(f *testing.F) {
 			} else if got == Sat {
 				checkModel(t, s, blocked)
 			}
+		}
+
+		// Reset and replay: the solver that ran the incremental leg,
+		// Reset, must replay the instance, the assumption solve and the
+		// kept-trail chain exactly as a new solver does — status, model,
+		// core, Stats and every other piece of search state.
+		s.Reset()
+		w := &twin{t: t, fresh: New(), used: s, label: "reset replay"}
+		for v := 0; v < nVars; v++ {
+			w.fresh.NewVar()
+			w.used.NewVar()
+		}
+		for _, c := range clauses {
+			w.addClause(c)
+		}
+		w.solve("solve")
+		w.solve("assume", assumptions...)
+		for _, a := range chain {
+			w.solve("chain", a...)
 		}
 	})
 }

@@ -26,8 +26,12 @@
 // Clause storage is a flat arena: all literals live contiguously in
 // one slab, clauses are int32 offsets (crefs) into it, and watcher
 // lists hold crefs plus a blocker literal. Deleting a clause only
-// marks its header; a compaction pass re-packs the slab when the
-// wasted share grows past half (see DESIGN.md note 17).
+// marks its header; a compaction pass re-packs the slab into a spare
+// one when the wasted share grows past half (see DESIGN.md note 17).
+//
+// Reset empties a solver for a new instance but keeps every buffer it
+// has grown, so a caller that solves a series of instances (one per
+// state count in internal/learn) pays for the solver's memory once.
 package sat
 
 import (
@@ -108,7 +112,7 @@ const crefUndef cref = -1
 //
 // A deleted clause keeps its header (so linear scans stay possible)
 // but its words count as wasted; compaction re-packs live clauses into
-// a fresh slab and rewrites every cref holder.
+// the spare slab and rewrites every cref holder.
 const (
 	hdrLearnt    = 1 << 0
 	hdrDeleted   = 1 << 1
@@ -119,6 +123,10 @@ const (
 type arena struct {
 	slab   []Lit
 	wasted int // words occupied by deleted clauses
+	// spare is the slab the previous compaction moved away from, kept
+	// empty so the next compaction re-packs into it instead of
+	// allocating.
+	spare []Lit
 }
 
 func (a *arena) alloc(lits []Lit, learnt bool) cref {
@@ -210,8 +218,9 @@ type Solver struct {
 	// call: a subset of the assumptions that is jointly inconsistent
 	// with the clauses. Empty (non-nil) when the formula is unsat
 	// regardless of assumptions; nil when the last solve did not end
-	// in Unsat.
-	core []Lit
+	// in Unsat. A failed assumption writes it into coreBuf.
+	core    []Lit
+	coreBuf []Lit
 
 	// scratch buffers, reused across calls so the hot loops allocate
 	// only when a buffer grows.
@@ -268,6 +277,44 @@ func New() *Solver {
 	return s
 }
 
+// Reset returns the solver to the state New gives: no variables or
+// clauses, nothing learned, zero Stats, MaxConflicts and RestartBase,
+// no saved assumptions and no core. It keeps every buffer the solver
+// has grown — the clause slabs, the watch lists, the per-variable
+// arrays and the scratch space — so rebuilding an instance no larger
+// than the last one allocates almost nothing. A solver after Reset
+// takes exactly the search steps a New one takes on the same calls.
+func (s *Solver) Reset() {
+	*s = Solver{
+		ar:          arena{slab: s.ar.slab[:0], spare: s.ar.spare},
+		clauses:     s.clauses[:0],
+		learnts:     s.learnts[:0],
+		watches:     s.watches[:0],
+		assign:      s.assign[:0],
+		level:       s.level[:0],
+		reason:      s.reason[:0],
+		phase:       s.phase[:0],
+		prefPol:     s.prefPol[:0],
+		trail:       s.trail[:0],
+		trailLim:    s.trailLim[:0],
+		activity:    s.activity[:0],
+		varInc:      1,
+		heap:        varHeap{heap: s.heap.heap[:0], indices: s.heap.indices[:0]},
+		ok:          true,
+		assumptions: s.assumptions[:0],
+		coreBuf:     s.coreBuf,
+		seen:        s.seen[:0],
+		analyzeTS:   s.analyzeTS,
+		learntBuf:   s.learntBuf,
+		redStack:    s.redStack,
+		redUndo:     s.redUndo,
+		addBuf:      s.addBuf,
+		addMark:     s.addMark[:0],
+		actScratch:  s.actScratch,
+	}
+	s.heap.s = s
+}
+
 // NumVars returns the number of variables created so far.
 func (s *Solver) NumVars() int { return len(s.assign) }
 
@@ -282,7 +329,14 @@ func (s *Solver) NewVar() int {
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.addMark = append(s.addMark, 0)
-	s.watches = append(s.watches, nil, nil)
+	if w := len(s.watches); w+2 <= cap(s.watches) {
+		// Reuse the two lists a Reset left behind, emptied.
+		s.watches = s.watches[:w+2]
+		s.watches[w] = s.watches[w][:0]
+		s.watches[w+1] = s.watches[w+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.heap.insert(v)
 	return v
 }
@@ -750,34 +804,40 @@ func quickMedian(xs []float64) float64 {
 }
 
 // maybeCompact re-packs the arena when deleted clauses waste more
-// than half of it. Compaction allocates a fresh
-// slab sized to the live data, relocates problem clauses then learnts
-// in list order (so relocation is deterministic), and rewrites every
-// cref holder: the clause lists, the watcher lists, and the reasons of
-// current assignments.
+// than half of it. Live clauses move into the spare slab (allocated
+// only when it is too small), problem clauses then learnts in list
+// order (so relocation is deterministic). Each moved clause leaves its
+// new cref in the old slab, in the word after its header, which every
+// clause has; the watcher lists and the reasons of current assignments
+// then read their new crefs from there, so no remap table is built.
+// The old slab becomes the next compaction's spare.
 func (s *Solver) maybeCompact() {
 	if s.ar.wasted < 1024 || 2*s.ar.wasted <= len(s.ar.slab) {
 		return
 	}
 	s.Stats.Compactions++
 	old := s.ar
-	s.ar = arena{slab: make([]Lit, 0, len(old.slab)-old.wasted)}
-	remap := make(map[cref]cref, len(s.clauses)+len(s.learnts))
+	next := old.spare[:0]
+	if live := len(old.slab) - old.wasted; cap(next) < live {
+		next = make([]Lit, 0, live)
+	}
+	s.ar = arena{slab: next}
 	reloc := func(list []cref) {
 		for i, c := range list {
 			nc := s.ar.alloc(old.litsOf(c), old.learnt(c))
 			if old.learnt(c) {
 				s.ar.setActivity(nc, old.activity(c))
 			}
-			remap[c] = nc
+			old.slab[c+1] = Lit(nc) // forwarding address
 			list[i] = nc
 		}
 	}
 	reloc(s.clauses)
 	reloc(s.learnts)
 	for i := range s.watches {
-		for j := range s.watches[i] {
-			s.watches[i][j].c = remap[s.watches[i][j].c]
+		ws := s.watches[i]
+		for j := range ws {
+			ws[j].c = cref(old.slab[ws[j].c+1])
 		}
 	}
 	// reduceDB never deletes a reason of a current assignment
@@ -785,9 +845,10 @@ func (s *Solver) maybeCompact() {
 	for _, l := range s.trail {
 		v := l.Var()
 		if r := s.reason[v]; r != crefUndef {
-			s.reason[v] = remap[r]
+			s.reason[v] = cref(old.slab[r+1])
 		}
 	}
+	s.ar.spare = old.slab[:0]
 }
 
 // Solve searches for a satisfying assignment of all added clauses. It
@@ -868,7 +929,7 @@ func (s *Solver) SolveAssuming(assumptions ...Lit) Status {
 // inconsistent with the clauses. It is empty but non-nil when the
 // clauses are unsatisfiable regardless of the assumptions, and nil
 // when the last solve did not return Unsat. The slice is only valid
-// until the next solve.
+// until the next solve, which reuses its storage.
 func (s *Solver) UnsatCore() []Lit { return s.core }
 
 // search runs CDCL until a result or a conflict budget exhaustion
@@ -963,7 +1024,8 @@ func (s *Solver) search(budget int64, maxLearnts *int64) Status {
 // collecting marked assumption decisions (the only reason-free
 // assignments above level 0 while assumptions are being placed).
 func (s *Solver) analyzeFinal(p Lit) {
-	s.core = []Lit{p}
+	s.coreBuf = append(s.coreBuf[:0], p)
+	s.core = s.coreBuf
 	if s.level[p.Var()] == 0 || len(s.trailLim) == 0 {
 		return
 	}
@@ -985,6 +1047,7 @@ func (s *Solver) analyzeFinal(p Lit) {
 		s.seen[v] = false
 	}
 	s.seen[p.Var()] = false
+	s.coreBuf = s.core
 }
 
 // varHeap is a max-heap of variables ordered by activity.

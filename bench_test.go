@@ -23,7 +23,6 @@ import (
 
 	"repro"
 	"repro/internal/experiments"
-	"repro/internal/learn"
 	"repro/internal/predicate"
 	"repro/internal/trace"
 )
@@ -288,46 +287,6 @@ func BenchmarkFtraceParse(b *testing.B) {
 		}
 	}
 	_ = trace.EventSchema()
-}
-
-// --- Model construction: scratch vs incremental ---------------------
-
-// benchGenerateModel isolates SAT-based model construction (no
-// predicate stage) on the serial-port predicate sequence, the
-// refinement-heaviest benchmark case. Canonical model extraction makes
-// both variants learn the identical automaton; only the work to get
-// there differs.
-func benchGenerateModel(b *testing.B, opts learn.Options) {
-	b.Helper()
-	c, err := experiments.CaseByName("Serial I/O Port")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := c.Generate()
-	if err != nil {
-		b.Fatal(err)
-	}
-	model, err := repro.Learn(tr, c.Options)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts.Segmented = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := learn.GenerateModelSeqs(symbolSeqs(model.P), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Stats.FinalStates), "states")
-		b.ReportMetric(float64(res.Stats.SATConflicts), "conflicts")
-	}
-}
-
-func BenchmarkGenerateModelScratch(b *testing.B) {
-	benchGenerateModel(b, learn.Options{ScratchRefinement: true})
-}
-func BenchmarkGenerateModelIncremental(b *testing.B) {
-	benchGenerateModel(b, learn.Options{})
 }
 
 // BenchmarkAblationSymmetry measures the learner with the

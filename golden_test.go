@@ -72,10 +72,11 @@ func symbolSeqs(P []string) []*learn.Seq {
 //
 //	go test -run TestGoldenExamples -update .
 //
-// It also pins the ISSUE's mode-equivalence criterion on exactly these
-// example traces: the incremental path (live solver extension) and the
-// scratch-rebuild path must both produce the pipeline's automaton —
-// same states, transitions, and start state.
+// It also relearns each trace's predicate sequence directly with
+// learn.GenerateModelSeqs, which must produce the pipeline's automaton
+// — same states, transitions, and start state. (internal/learn's
+// TestScratchMatchesExamples does the same for the scratch-rebuild
+// reference path.)
 func TestGoldenExamples(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("examples", "traces", "*"))
 	if err != nil {
@@ -108,24 +109,12 @@ func TestGoldenExamples(t *testing.T) {
 				t.Errorf("golden mismatch for %s\ngot:\n%s\nwant:\n%s\n(re-run with -update if intended)", path, got, want)
 			}
 
-			// Mode equivalence on the predicate sequence of this trace.
-			modes := []struct {
-				name string
-				opts learn.Options
-			}{
-				{"incremental", learn.Options{Segmented: true}},
-				{"scratch", learn.Options{Segmented: true, ScratchRefinement: true}},
+			res, err := learn.GenerateModelSeqs(symbolSeqs(model.P), learn.Options{Segmented: true})
+			if err != nil {
+				t.Fatalf("relearn: %v", err)
 			}
-			ref := model.Automaton.String()
-			for _, mode := range modes {
-				res, err := learn.GenerateModelSeqs(symbolSeqs(model.P), mode.opts)
-				if err != nil {
-					t.Fatalf("%s relearn: %v", mode.name, err)
-				}
-				if res.Automaton.String() != ref {
-					t.Errorf("%s path diverged from the pipeline's automaton:\n%s\nwant:\n%s",
-						mode.name, res.Automaton, ref)
-				}
+			if got, want := res.Automaton.String(), model.Automaton.String(); got != want {
+				t.Errorf("GenerateModelSeqs diverged from the pipeline's automaton:\n%s\nwant:\n%s", got, want)
 			}
 		})
 	}

@@ -106,3 +106,42 @@ func copyInts(src [][]int) [][]int {
 	}
 	return out
 }
+
+// resume restores a checkpointed refinement state into a fresh search.
+// The segment table is replayed in its first-record order, so the
+// dedup index, ids and anchor flags come out exactly as the
+// interrupted run left them.
+func (s *search) resume(st *CheckpointState) error {
+	if len(st.Segments) != len(st.Anchored) {
+		return fmt.Errorf("learn: resume state has %d segments, %d anchor flags", len(st.Segments), len(st.Anchored))
+	}
+	var win []int32
+	for i, seg := range st.Segments {
+		win = win[:0]
+		for _, id := range seg {
+			if id < 0 || id >= len(s.symbols) {
+				return fmt.Errorf("learn: resume segment %d references symbol %d of %d", i, id, len(s.symbols))
+			}
+			win = append(win, int32(id))
+		}
+		s.record(win, st.Anchored[i])
+	}
+	for i, g := range st.Blocked {
+		// Blocking a gram enumerates N^(len+1) state paths, so a
+		// wrong length must fail here, not in the encoder.
+		if len(g) != s.opts.ComplianceLen {
+			return fmt.Errorf("learn: resume blocked gram %d has length %d, want the compliance length %d", i, len(g), s.opts.ComplianceLen)
+		}
+		for _, id := range g {
+			if id < 0 || id >= len(s.symbols) {
+				return fmt.Errorf("learn: resume blocked gram %d references symbol %d of %d", i, id, len(s.symbols))
+			}
+		}
+	}
+	s.block(copyInts(st.Blocked))
+	s.stats = st.Stats
+	if st.AcceptWindow > 0 {
+		s.acceptWindow = st.AcceptWindow
+	}
+	return nil
+}

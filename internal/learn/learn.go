@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/automaton"
 	"repro/internal/pipeline"
-	"repro/internal/sat"
 )
 
 // Options tunes GenerateModelSeqs.
@@ -57,19 +56,14 @@ type Options struct {
 	// none. Exceeding it returns ErrTimeout (the paper's ">16 hours"
 	// entries).
 	Timeout time.Duration
-	// MaxRefinements caps compliance-refinement iterations per N.
-	// Zero means 10000.
+	// MaxRefinements caps the compliance refinements, and separately
+	// the acceptance refinements, made at one N (for Live, in one
+	// revision). Zero means 10000.
 	MaxRefinements int
 	// NoSymmetryBreaking disables the state-ordering symmetry break
 	// in the encoding (for the ablation benchmarks; the UNSAT
 	// escalation proofs are substantially slower without it).
 	NoSymmetryBreaking bool
-	// ScratchRefinement rebuilds the encoding from scratch after each
-	// compliance or acceptance refinement instead of extending the
-	// live solver — the pre-incremental behaviour, kept for
-	// equivalence testing and ablation benchmarks. Canonical model
-	// extraction makes the learned automaton identical either way.
-	ScratchRefinement bool
 	// Context cancels the search between solver rounds (signal
 	// handling; a round in flight finishes first). Nil means never
 	// cancelled.
@@ -95,28 +89,12 @@ type Options struct {
 	// events when Telemetry carries a tracer.
 	TraceSpan pipeline.SpanID
 
-	// retain, when non-nil, receives the live solver state of a
-	// successful search (encoding, segment/blocked tables) so
-	// the Live engine can keep extending it incrementally instead of
-	// relearning from scratch. Unexported: only live.go sets it.
-	retain *searchRetained
-	// spare, when non-nil, is a solver the search may Reset and build
-	// its first encoding on instead of allocating one; the caller must
-	// not use it, or the encoding it belonged to, afterwards.
-	// Unexported: only live.go sets it, lending the retained solver to
-	// the re-minimization that replaces it.
-	spare *sat.Solver
-}
-
-// searchRetained is the solver state GenerateModelSeqs leaves behind
-// for live extension: everything needed to continue the refinement
-// loop at the found level enc.n when the input sequence grows.
-type searchRetained struct {
-	enc          *encoding
-	acceptWindow int
-	blocked      [][]int
-	segments     [][]int
-	anchored     []bool
+	// scratchRefinement rebuilds the encoding from scratch after each
+	// compliance or acceptance refinement instead of extending the
+	// solver — the pre-incremental behaviour, the reference the
+	// equivalence tests compare against. Canonical model extraction
+	// makes the learned automaton identical either way.
+	scratchRefinement bool
 }
 
 func (o Options) withDefaults() Options {

@@ -3,72 +3,13 @@ package learn
 import (
 	"context"
 	"errors"
-	"math/rand"
-	"reflect"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/pipeline"
 )
-
-// TestWinScanMatchesWindows: feeding a growing sequence through the
-// incremental scanner — with arbitrary run splits — visits exactly the
-// positions and windows a batch rleSeq.windows scan of the final
-// sequence visits, in the same order.
-func TestWinScanMatchesWindows(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(60)
-		word := make([]int32, n)
-		cur := int32(rng.Intn(3))
-		for i := range word {
-			if rng.Intn(3) == 0 {
-				cur = int32(rng.Intn(3))
-			}
-			word[i] = cur
-		}
-		s := &rleSeq{}
-		for _, x := range word {
-			if k := len(s.ids); k > 0 && s.ids[k-1] == x {
-				s.counts[k-1]++
-			} else {
-				s.ids = append(s.ids, x)
-				s.counts = append(s.counts, 1)
-			}
-			s.total++
-		}
-		for w := 1; w <= 5; w++ {
-			var wantPos []int
-			var wantWins [][]int32
-			s.windows(w, func(pos int, win []int32) {
-				wantPos = append(wantPos, pos)
-				wantWins = append(wantWins, append([]int32(nil), win...))
-			})
-			ws := newWinScan(w)
-			var gotPos []int
-			var gotWins [][]int32
-			visit := func(pos int, win []int32) {
-				gotPos = append(gotPos, pos)
-				gotWins = append(gotWins, append([]int32(nil), win...))
-			}
-			// Feed the word as randomly split runs: the scanner must
-			// be insensitive to how appends chunk a symbol run.
-			for i := 0; i < n; {
-				j := i + 1
-				for j < n && word[j] == word[i] && rng.Intn(2) == 0 {
-					j++
-				}
-				ws.feed(word[i], j-i, visit)
-				i = j
-			}
-			if !reflect.DeepEqual(gotPos, wantPos) || !reflect.DeepEqual(gotWins, wantWins) {
-				t.Fatalf("trial %d, w=%d, word %v:\n got %v %v\nwant %v %v",
-					trial, w, word, gotPos, gotWins, wantPos, wantWins)
-			}
-		}
-	}
-}
 
 // liveWorkloads are prefix-growing words with the shapes the benchmark
 // systems produce: a modular counter, a request/response protocol with
@@ -181,13 +122,13 @@ func TestLiveStaleBlockedGramForcesRemin(t *testing.T) {
 	if _, err := lv.Revise(false); err != nil {
 		t.Fatal(err)
 	}
-	if len(lv.blocked) == 0 {
+	if len(lv.s.blocked) == 0 {
 		t.Skip("workload produced no blocked grams; stale trigger not exercisable")
 	}
 	// Append an occurrence of a blocked gram: it becomes a valid gram
 	// of the grown sequence, so the stale flag must trip and the next
 	// revision must re-minimize.
-	g := lv.blocked[0]
+	g := lv.s.blocked[0]
 	for _, id := range g {
 		lv.AppendID(id, 1)
 	}
@@ -221,9 +162,9 @@ func (c *switchCtx) Err() error { return c.err }
 // TestLiveFailedReminimization: a re-minimization that fails — here
 // because the context is cancelled before its first solve — has
 // already taken over the retained solver, so the learner keeps its
-// last model but no retained search. Dirty must then report true,
-// Checkpoint return nil and Walk still walk the kept model; once the
-// context clears, the next Revise re-minimizes to the batch model.
+// last model but no retained search. Dirty must then report true and
+// Walk still walk the kept model; once the context clears, the next
+// Revise re-minimizes to the batch model.
 func TestLiveFailedReminimization(t *testing.T) {
 	ctx := &switchCtx{Context: context.Background()}
 	lv, err := NewLive(Options{Segmented: true, Context: ctx})
@@ -254,9 +195,6 @@ func TestLiveFailedReminimization(t *testing.T) {
 	if !lv.Dirty() {
 		t.Fatal("Dirty = false with no retained search")
 	}
-	if cp := lv.Checkpoint(); cp != nil {
-		t.Fatalf("Checkpoint = %+v with no retained search, want nil", cp)
-	}
 	if got, ok := lv.Walk(); !ok || got != end {
 		t.Fatalf("Walk = %d, %v after the failed re-minimization; want %d, true", got, ok, end)
 	}
@@ -269,7 +207,7 @@ func TestLiveFailedReminimization(t *testing.T) {
 	if !remin {
 		t.Fatal("Revise after a failed re-minimization did not re-minimize")
 	}
-	if lv.Dirty() || lv.Checkpoint() == nil {
+	if lv.Dirty() {
 		t.Fatal("no retained search after a successful re-minimization")
 	}
 	batch, err := GenerateModelSeqs([]*Seq{cloneSeqFromLive(t, lv)}, Options{Segmented: true})
@@ -284,49 +222,11 @@ func TestLiveFailedReminimization(t *testing.T) {
 // cloneSeqFromLive rebuilds the live sequence as a fresh batch input.
 func cloneSeqFromLive(t *testing.T, lv *Live) *Seq {
 	t.Helper()
-	seq, err := NewSeqFromState(lv.SeqState())
+	seq, err := NewSeqFromState(lv.seq.State())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return seq
-}
-
-// TestLiveCheckpointResumeFixpoint: resuming a batch search from a
-// live checkpoint over the same sequence is a fixpoint — it reproduces
-// the live model with a single satisfiable solver round.
-func TestLiveCheckpointResumeFixpoint(t *testing.T) {
-	lv, err := NewLive(Options{Segmented: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var word []string
-	for i := 0; i < 8; i++ {
-		word = append(word, "send", "ack", "send", "ack", "timeout")
-	}
-	for _, sym := range word {
-		lv.Append(sym, 1)
-	}
-	if _, err := lv.Revise(false); err != nil {
-		t.Fatal(err)
-	}
-	cp := lv.Checkpoint()
-	if cp == nil {
-		t.Fatal("nil checkpoint after successful revision")
-	}
-	res, err := GenerateModelSeqs([]*Seq{cloneSeqFromLive(t, lv)},
-		Options{Segmented: true, Resume: cp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lm, rm := lv.Model().String(), res.Automaton.String(); lm != rm {
-		t.Fatalf("resumed model diverges from live model:\nlive:\n%s\nresumed:\n%s", lm, rm)
-	}
-	// Resume carries the checkpointed counters forward, so the
-	// fixpoint costs exactly one additional (satisfiable) round.
-	if res.Stats.SolverCalls != cp.Stats.SolverCalls+1 {
-		t.Fatalf("resume from a live fixpoint took %d solver calls on top of %d checkpointed, want 1",
-			res.Stats.SolverCalls-cp.Stats.SolverCalls, cp.Stats.SolverCalls)
-	}
 }
 
 // TestLiveRejectsUnsupportedOptions: live maintenance is the segmented
@@ -354,8 +254,9 @@ func TestLiveRejectsUnsupportedOptions(t *testing.T) {
 // TestLiveExtendAccountsStats: an extension's wall and CPU time count
 // towards Stats on every return path — an extend-only revision and an
 // extension that goes UNSAT at the retained level (errNeedGrow) alike —
-// and the live loop records the same solve and canonical-extraction
-// telemetry as the batch loop. A fake CPU clock advancing 1 ms per
+// and an extension records the same solve and canonical-extraction
+// telemetry as a batch search, trace spans included: one solve span
+// per solver call. A fake CPU clock advancing 1 ms per
 // read makes the CPU accounting exact: one extension reads it twice.
 func TestLiveExtendAccountsStats(t *testing.T) {
 	defer func(prev func() time.Duration) { cpuTime = prev }(cpuTime)
@@ -383,9 +284,11 @@ func TestLiveExtendAccountsStats(t *testing.T) {
 	}
 
 	reg := pipeline.NewRegistry()
-	lv := learnThen("acbaacbaacba", "cb", &pipeline.Telemetry{Registry: reg})
+	tr := pipeline.NewTracer(io.Discard)
+	lv := learnThen("acbaacbaacba", "cb", &pipeline.Telemetry{Registry: reg, Tracer: tr})
 	before := lv.Stats()
 	solves := reg.Histogram("solver_call_ns", "ns").Summary().Count
+	spans := tr.Rollups()["solve"].Count
 	canon := reg.Histogram("learn_canonical_ns", "ns").Summary().Count
 	remin, err := lv.Revise(false)
 	if err != nil || remin {
@@ -404,6 +307,9 @@ func TestLiveExtendAccountsStats(t *testing.T) {
 	calls := after.SolverCalls - before.SolverCalls
 	if got := reg.Histogram("solver_call_ns", "ns").Summary().Count - solves; got != int64(calls) {
 		t.Errorf("extension observed %d solver_call_ns samples for %d solver calls", got, calls)
+	}
+	if got := tr.Rollups()["solve"].Count - spans; got != int64(calls) {
+		t.Errorf("extension traced %d solve spans for %d solver calls", got, calls)
 	}
 	if got := reg.Histogram("learn_canonical_ns", "ns").Summary().Count - canon; got < 1 || got > int64(calls) {
 		t.Errorf("extension observed %d learn_canonical_ns samples for %d solver calls", got, calls)

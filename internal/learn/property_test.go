@@ -60,7 +60,7 @@ func TestPaperInvariantsSerialAndScratch(t *testing.T) {
 		opts Options
 	}{
 		{"serial", Options{Segmented: true, MaxStates: 32}},
-		{"serial-scratch", Options{Segmented: true, MaxStates: 32, ScratchRefinement: true}},
+		{"serial-scratch", Options{Segmented: true, MaxStates: 32, scratchRefinement: true}},
 	}
 	for _, P := range propertySequences() {
 		for _, mode := range modes {
@@ -86,7 +86,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("incremental (%v): %v", P, err)
 		}
-		scr, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true, MaxStates: 32, ScratchRefinement: true})
+		scr, err := GenerateModelSeqs(seqsOf(P), Options{Segmented: true, MaxStates: 32, scratchRefinement: true})
 		if err != nil {
 			t.Fatalf("scratch (%v): %v", P, err)
 		}

@@ -3,13 +3,9 @@
 // predicate stream without ever materialising the expanded sequence.
 // Resident memory is O(runs + unique segments + unique grams); on the
 // long, repetition-dominated traces the paper targets, runs ≪ length.
-//
-// The window visitor enumerates window occurrences in position order
-// and skips only a window identical to its predecessor (which segment
-// recording would dedupe anyway), so the first-occurrence order of
-// segments — and therefore the encoding, the solver decisions and the
-// learned automaton — is bit-for-bit the same as scanning the expanded
-// sequence.
+// One window scanner, winScan, segments the batch input, collects its
+// valid l-grams and keeps Live's tables current as runs arrive, so
+// batch and live segmentation agree window for window.
 package learn
 
 import (
@@ -102,62 +98,6 @@ type rleSeq struct {
 	total  int
 }
 
-// windows calls visit(pos, win) for the content of the w-window at
-// each start position in increasing order, skipping a position exactly
-// when its window equals the previous position's window — which
-// happens iff the sequence is constant on [pos−1, pos−1+w], i.e.
-// inside a run of length ≥ w+1. Position 0 is always visited (anchor
-// correctness). win is reused across calls; visitors must copy what
-// they keep.
-func (s *rleSeq) windows(w int, visit func(pos int, win []int32)) {
-	if w <= 0 || w > s.total {
-		return
-	}
-	win := make([]int32, w)
-	last := s.total - w // last valid start position
-	base := 0
-	for r := range s.ids {
-		c := int(s.counts[r])
-		o := 0
-		if c >= w {
-			// Starts 0 … c−w inside this run share one constant
-			// window: visit the first, skip the rest.
-			s.fill(win, r, 0)
-			visit(base, win)
-			o = c - w + 1
-			if o < 1 {
-				o = 1
-			}
-		}
-		for ; o < c; o++ {
-			pos := base + o
-			if pos > last {
-				break
-			}
-			s.fill(win, r, o)
-			visit(pos, win)
-		}
-		base += c
-	}
-}
-
-// fill copies the window starting at offset o of run r into win.
-func (s *rleSeq) fill(win []int32, r, o int) {
-	k := 0
-	for k < len(win) {
-		c := int(s.counts[r])
-		id := s.ids[r]
-		for ; o < c && k < len(win); o++ {
-			win[k] = id
-			k++
-		}
-		if o == c {
-			r++
-			o = 0
-		}
-	}
-}
-
 // expand materialises positions [lo, hi) as global symbol ids (the
 // acceptance-refinement windows; rare and bounded by the refinement
 // window, except in degenerate cases where it soundly grows into the
@@ -209,6 +149,70 @@ func (s *rleSeq) firstReject(m *automaton.NFA, symbols []string) int {
 	return -1
 }
 
+// winScan enumerates the w-window visits of a sequence fed to it one
+// appended run at a time, under arbitrary run splits. It visits every
+// start position in increasing order except those whose window equals
+// the previous position's — exactly when the trailing size+1 symbols
+// are all equal — and skips the rest of a constant run in O(1).
+// Position 0 is always visited (anchor correctness). Segment recording
+// would dedupe the skipped windows anyway, so the first-occurrence
+// order of segments, and with it the encoding, the solver decisions
+// and the learned automaton, is that of a scan of the expanded
+// sequence.
+type winScan struct {
+	size  int
+	ring  []int32 // last `size` symbols, circular
+	buf   []int32 // in-order window scratch handed to visit
+	n     int     // total symbols consumed
+	eqLen int     // trailing equal-symbol run length, capped at size+1
+}
+
+func newWinScan(size int) *winScan {
+	return &winScan{size: size, ring: make([]int32, size), buf: make([]int32, size)}
+}
+
+// feed consumes one appended run. visit's win slice is reused; copy to
+// keep.
+func (ws *winScan) feed(id int32, count int, visit func(start int, win []int32)) {
+	for count > 0 {
+		if ws.n > 0 && ws.ring[(ws.n-1)%ws.size] == id && ws.eqLen >= ws.size+1 {
+			// Every remaining position of this run sits strictly
+			// inside an equal-symbol run of length ≥ size+1: all
+			// skipped, and the ring stays all-id.
+			ws.n += count
+			return
+		}
+		if ws.n > 0 && ws.ring[(ws.n-1)%ws.size] == id {
+			if ws.eqLen < ws.size+1 {
+				ws.eqLen++
+			}
+		} else {
+			ws.eqLen = 1
+		}
+		ws.ring[ws.n%ws.size] = id
+		ws.n++
+		count--
+		if ws.n >= ws.size && ws.eqLen < ws.size+1 {
+			start := ws.n - ws.size
+			for k := 0; k < ws.size; k++ {
+				ws.buf[k] = ws.ring[(start+k)%ws.size]
+			}
+			visit(start, ws.buf)
+		}
+	}
+}
+
+// scan runs a winScan of window size w over the whole sequence.
+func (s *rleSeq) scan(w int, visit func(start int, win []int32)) {
+	if w <= 0 {
+		return
+	}
+	ws := newWinScan(w)
+	for r, id := range s.ids {
+		ws.feed(id, int(s.counts[r]), visit)
+	}
+}
+
 // GenerateModelSeqs learns one automaton from several run-length-
 // encoded symbol sequences (the canonical predicate keys, or raw event
 // names for event traces) — independent runs of the same system, all
@@ -218,21 +222,25 @@ func (s *rleSeq) firstReject(m *automaton.NFA, symbols []string) int {
 // multi-run learning the paper's prospects section motivates
 // (exercising the system several ways to close coverage holes).
 func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
+	res, _, err := generate(inSeqs, opts, nil)
+	return res, err
+}
+
+// generate is GenerateModelSeqs that also returns the successful
+// search, for Live to continue, and builds its first encoding on spare
+// when non-nil (the caller must not use spare afterwards).
+func generate(inSeqs []*Seq, opts Options, spare *sat.Solver) (*Result, *search, error) {
 	opts = opts.withDefaults()
 	if len(inSeqs) == 0 {
-		return nil, errors.New("learn: no input sequences")
+		return nil, nil, errors.New("learn: no input sequences")
 	}
-	for _, s := range inSeqs {
-		if s == nil || s.total == 0 {
-			return nil, errors.New("learn: empty input sequence")
+	for _, q := range inSeqs {
+		if q == nil || q.total == 0 {
+			return nil, nil, errors.New("learn: empty input sequence")
 		}
 	}
 	start := time.Now()
 	cpuStart := cpuTime()
-	deadline := time.Time{}
-	if opts.Timeout > 0 {
-		deadline = start.Add(opts.Timeout)
-	}
 
 	// Re-intern symbols into one global table, in first-appearance
 	// order across the sequences. Each sequence's local ids were
@@ -260,349 +268,76 @@ func GenerateModelSeqs(inSeqs []*Seq, opts Options) (*Result, error) {
 		}
 		seqs[t] = &rleSeq{ids: ids, counts: in.counts, total: in.total}
 	}
+	s := newSearch(opts, symbols, symID, seqs)
+	if opts.Timeout > 0 {
+		s.deadline = start.Add(opts.Timeout)
+	}
 
 	// Segment the sequences (Algorithm 1 line 16). Every sequence's
 	// prefix window is anchored: the encoding pins its first slot to
 	// state 0, fixing the shared initial state.
-	//
-	// Acceptance refinement: embedding every w-window does not by
-	// itself make the automaton accept P — the solver can return
-	// "parity" models whose windows all embed somewhere but whose
-	// single deterministic run dead-ends. Any automaton that accepts
-	// P embeds every sub-window of every length, so when the run of
-	// the candidate automaton dead-ends at position k we add the
-	// window of P ending at k+1 as an extra (deduplicated) path
-	// constraint and re-solve, doubling the window length when the
-	// same content recurs. Windows that reach back to position 0 are
-	// anchored at the initial state, so the loop always makes
-	// progress; in the worst case the constraint grows into the full
-	// prefix and the search degenerates soundly into the
-	// non-segmented encoding. Repeating trace patterns are still
-	// constrained only once, preserving the segmentation speedup.
-	var segments [][]int
-	var anchored []bool
-	segIndex := map[string]int{}
-	var segKeyBuf []byte // reused; lookups via string(segKeyBuf) don't allocate
-	recordSegment := func(win []int, anchor bool) (idx int, added, anchorUp bool) {
-		segKeyBuf = appendIntsKey(segKeyBuf[:0], win)
-		if i, ok := segIndex[string(segKeyBuf)]; ok {
-			if anchor && !anchored[i] {
-				anchored[i] = true
-				return i, false, true
-			}
-			return i, false, false
-		}
-		segIndex[string(segKeyBuf)] = len(segments)
-		segments = append(segments, append([]int(nil), win...))
-		anchored = append(anchored, anchor)
-		return len(segments) - 1, true, false
-	}
-	var seg32Buf []int // reused window-conversion scratch
-	recordSegment32 := func(win []int32, anchor bool) (int, bool, bool) {
-		if cap(seg32Buf) < len(win) {
-			seg32Buf = make([]int, len(win))
-		}
-		w := seg32Buf[:len(win)]
-		for i, x := range win {
-			w[i] = int(x)
-		}
-		return recordSegment(w, anchor)
-	}
-	windowFor := func(s *rleSeq) int {
-		w := opts.Window
-		if w > s.total {
-			w = s.total
-		}
-		return w
-	}
 	maxW := 0
-	for _, s := range seqs {
-		w := windowFor(s)
-		if w > maxW {
-			maxW = w
-		}
-		if opts.Resume != nil {
-			continue // segment table restored below
-		}
-		if opts.Segmented {
-			s.windows(w, func(pos int, win []int32) {
-				recordSegment32(win, pos == 0)
-			})
-		} else {
+	for _, q := range seqs {
+		w := min(opts.Window, q.total)
+		maxW = max(maxW, w)
+		switch {
+		case opts.Resume != nil:
+			// The segment table is restored below.
+		case opts.Segmented:
+			q.scan(w, func(pos int, win []int32) { s.record(win, pos == 0) })
+		default:
 			// Non-segmented baseline: the whole sequence is one
 			// segment, so this mode is O(length) resident by design.
-			recordSegment32(s.expand(0, s.total), true)
+			s.record(q.expand(0, q.total), true)
 		}
 	}
-	if opts.Resume != nil {
-		// Replay the checkpointed segment table (base windows plus any
-		// acceptance-refinement additions and anchor upgrades) in its
-		// first-record order: the dedup index, ids and anchor flags
-		// come out exactly as the interrupted run left them.
-		st := opts.Resume
-		if len(st.Segments) != len(st.Anchored) {
-			return nil, fmt.Errorf("learn: resume state has %d segments, %d anchor flags", len(st.Segments), len(st.Anchored))
-		}
-		for i, win := range st.Segments {
-			for _, id := range win {
-				if id < 0 || id >= len(symbols) {
-					return nil, fmt.Errorf("learn: resume segment %d references symbol %d of %d", i, id, len(symbols))
-				}
-			}
-			recordSegment(win, st.Anchored[i])
-		}
-	}
+	s.acceptWindow = 2 * maxW
 
 	// Valid l-grams (the set P_l of Algorithm 1 line 42), unioned
-	// over the sequences. The duplicate-skipping visitor feeds a set,
-	// so the skips are free coverage-wise.
+	// over the sequences. The scan skips only repeats of the previous
+	// gram, so the set is complete.
 	l := opts.ComplianceLen
-	validGrams := map[string]bool{}
-	gramKey := make([]byte, 0, 4*l)
-	for _, s := range seqs {
-		s.windows(l, func(pos int, win []int32) {
-			gramKey = appendIntsKey32(gramKey[:0], win)
-			if !validGrams[string(gramKey)] {
+	for _, q := range seqs {
+		q.scan(l, func(_ int, win []int32) {
+			s.keyBuf = appendIntsKey32(s.keyBuf[:0], win)
+			if !s.validGrams[string(s.keyBuf)] {
 				// Insert materialises the key string; the dominant
 				// already-seen case stays allocation-free.
-				validGrams[string(gramKey)] = true
+				s.validGrams[string(s.keyBuf)] = true
 			}
 		})
 	}
 
-	stats := Stats{}
-	var blocked [][]int      // invalid l-grams accumulated across N
-	acceptWindow := 2 * maxW // current acceptance-refinement window length
-	startN := opts.StartStates
-	resumeRefinements := 0
-	if opts.Resume != nil {
-		st := opts.Resume
-		for i, g := range st.Blocked {
-			// Blocking a gram enumerates N^(len+1) state paths,
-			// so a wrong length must fail here, not in the encoder.
-			if len(g) != l {
-				return nil, fmt.Errorf("learn: resume blocked gram %d has length %d, want the compliance length %d", i, len(g), l)
-			}
-			for _, id := range g {
-				if id < 0 || id >= len(symbols) {
-					return nil, fmt.Errorf("learn: resume blocked gram %d references symbol %d of %d", i, id, len(symbols))
-				}
-			}
-		}
-		stats = st.Stats
-		blocked = copyInts(st.Blocked)
-		if st.AcceptWindow > 0 {
-			acceptWindow = st.AcceptWindow
+	startN, refinements := opts.StartStates, 0
+	if st := opts.Resume; st != nil {
+		if err := s.resume(st); err != nil {
+			return nil, nil, err
 		}
 		if st.N > 0 {
 			startN = st.N
 		}
-		resumeRefinements = st.Refinements
-	}
-	maxSeqLen := 0
-	for _, s := range seqs {
-		if s.total > maxSeqLen {
-			maxSeqLen = s.total
-		}
+		refinements = st.Refinements
 	}
 
-	// Telemetry: resolved once, recorded unconditionally (every object
-	// no-ops when nil). Spans and events are additionally gated on
-	// tracer enablement because building their attrs allocates.
-	tel := opts.Telemetry
-	tr := tel.Trace()
-	cSolves := tel.Count("solver_calls_total")
-	cGramsBlocked := tel.Count("learn_grams_blocked_total")
-	cSegmentsAdded := tel.Count("learn_segments_added_total")
-	hSolveNS := tel.Hist("solver_call_ns", "ns")
-	hCanonNS := tel.Hist("learn_canonical_ns", "ns")
-	cCanonSolves := tel.Count("learn_canonical_solves_total")
-
-	// Each encoding is built on the solver of the one it replaces —
-	// the UNSAT level below, or the discarded encoding of a scratch
-	// refinement — so the search pays for solver memory once.
-	orderStates := !opts.NoSymmetryBreaking
-	encode := func(n int, spare *sat.Solver) *encoding {
-		enc := newEncoding(n, len(symbols), segments, anchored, orderStates, spare)
-		for _, g := range blocked {
-			enc.blockGram(g)
-		}
-		return enc
+	finish := func() *Result {
+		s.stats.Duration = time.Since(start)
+		s.stats.CPU = cpuTime() - cpuStart
+		return &Result{Stats: s.stats}
 	}
-	finish := func() {
-		stats.Duration = time.Since(start)
-		stats.CPU = cpuTime() - cpuStart
-	}
-
-	spare := opts.spare
 	for n := startN; n <= opts.MaxStates; n++ {
-		enc := encode(n, spare)
-		refinements := resumeRefinements
-		resumeRefinements = 0
-		for {
-			// Round boundary: the encoding is a pure function of
-			// (n, segments, anchored, blocked), so this is the moment
-			// the search can be snapshotted and later resumed
-			// byte-identically. The hook runs before the round's solver
-			// call is counted, so resumed counters line up.
-			if opts.Checkpoint != nil {
-				err := opts.Checkpoint(&CheckpointState{
-					N:            n,
-					Refinements:  refinements,
-					AcceptWindow: acceptWindow,
-					Blocked:      copyInts(blocked),
-					Segments:     copyInts(segments),
-					Anchored:     append([]bool(nil), anchored...),
-					Stats:        stats,
-				})
-				if err != nil {
-					finish()
-					return &Result{Stats: stats}, err
-				}
-			}
-			if opts.Context != nil {
-				if err := opts.Context.Err(); err != nil {
-					finish()
-					return &Result{Stats: stats}, fmt.Errorf("learn: %w", err)
-				}
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				finish()
-				return &Result{Stats: stats}, ErrTimeout
-			}
-			stats.SolverCalls++
-			cSolves.Add(1)
-			var solveSpan pipeline.SpanID
-			if tr.Enabled() {
-				solveSpan = tr.Start(opts.TraceSpan, "solve",
-					pipeline.Int("n", int64(n)),
-					pipeline.Int("segments", int64(len(segments))))
-			}
-			before := stats
-			t0 := time.Now()
-			status := enc.solve(deadline)
-			hSolveNS.Since(t0)
-			tel.Prof().Observe("solve", time.Since(t0))
-			enc.addStats(&stats)
-			if tr.Enabled() {
-				tr.End(solveSpan,
-					pipeline.Str("status", status.String()),
-					pipeline.Int("conflicts", stats.SATConflicts-before.SATConflicts),
-					pipeline.Int("decisions", stats.SATDecisions-before.SATDecisions),
-					pipeline.Int("propagations", stats.SATPropagations-before.SATPropagations))
-			}
-			if status == sat.Unknown {
-				finish()
-				return &Result{Stats: stats}, ErrBudgetExceeded
-			}
-			if status == sat.Unsat {
-				spare = enc.solver
-				break // no n-state automaton: escalate
-			}
-			t0 = time.Now()
-			probes := enc.canonicalize()
-			m := enc.extract(symbols)
-			hCanonNS.Since(t0)
-			cCanonSolves.Add(int64(probes))
-
-			// Compliance check (Algorithm 1 lines 38–45).
-			invalid := invalidSequences(m, validGrams, symID, l)
-			if len(invalid) > 0 {
-				refinements++
-				stats.Refinements++
-				cGramsBlocked.Add(int64(len(invalid)))
-				if tr.Enabled() {
-					tr.Event(opts.TraceSpan, "compliance",
-						pipeline.Int("n", int64(n)),
-						pipeline.Int("grams_blocked", int64(len(invalid))))
-				}
-				if refinements > opts.MaxRefinements {
-					return nil, fmt.Errorf("learn: more than %d refinements at N=%d", opts.MaxRefinements, n)
-				}
-				blocked = append(blocked, invalid...)
-				if opts.ScratchRefinement {
-					// Pre-incremental behaviour: re-encode with the
-					// blocking clauses instead of extending the live
-					// solver.
-					enc = encode(n, enc.solver)
-				} else {
-					for _, g := range invalid {
-						enc.blockGram(g)
-					}
-				}
-				continue
-			}
-
-			// Acceptance refinement, over every input sequence.
-			rt, k := -1, -1
-			for t, s := range seqs {
-				if pos := s.firstReject(m, symbols); pos >= 0 {
-					rt, k = t, pos
-					break
-				}
-			}
-			if rt < 0 {
-				stats.Segments = len(segments)
-				stats.FinalStates = n
-				finish()
-				if opts.retain != nil {
-					// Hand the live solver state to the Live engine;
-					// nothing below aliases it after this return.
-					*opts.retain = searchRetained{
-						enc:          enc,
-						acceptWindow: acceptWindow,
-						blocked:      blocked,
-						segments:     segments,
-						anchored:     anchored,
-					}
-				}
-				return &Result{Automaton: m, AcceptsInput: true, Stats: stats}, nil
-			}
-			stats.AcceptRefinements++
-			if stats.AcceptRefinements > opts.MaxRefinements {
-				return nil, fmt.Errorf("learn: more than %d acceptance refinements at N=%d", opts.MaxRefinements, n)
-			}
-			seq := seqs[rt]
-			var idx int
-			var added, anchorUp bool
-			for {
-				lo := k + 1 - acceptWindow
-				if lo < 0 {
-					lo = 0
-				}
-				idx, added, anchorUp = recordSegment32(seq.expand(lo, k+1), lo == 0)
-				if added || anchorUp {
-					break
-				}
-				// The window is already constrained; widen it.
-				if acceptWindow > 2*maxSeqLen {
-					// Unreachable: an anchored full prefix
-					// forces the run past k.
-					return nil, fmt.Errorf("learn: acceptance refinement stuck at position %d", k)
-				}
-				acceptWindow *= 2
-			}
-			if added {
-				cSegmentsAdded.Add(1)
-			}
-			if tr.Enabled() {
-				tr.Event(opts.TraceSpan, "acceptance",
-					pipeline.Int("n", int64(n)),
-					pipeline.Int("reject_pos", int64(k)),
-					pipeline.Bool("segment_added", added))
-			}
-			if opts.ScratchRefinement {
-				// Pre-incremental behaviour: discard the live
-				// solver and re-encode from scratch.
-				enc = encode(n, enc.solver)
-				refinements = 0
-			} else if added {
-				enc.addSegment(segments[idx], anchored[idx])
-			} else {
-				enc.anchorSegment(idx)
-			}
+		s.encode(n, spare)
+		m, err := s.refine(refinements)
+		refinements = 0
+		if err == errNeedGrow {
+			spare = s.enc.solver
+			continue
 		}
+		res := finish()
+		if err != nil {
+			return res, nil, err
+		}
+		res.Automaton, res.AcceptsInput = m, true
+		return res, s, nil
 	}
-	finish()
-	return &Result{Stats: stats}, fmt.Errorf("%w (max %d states, %d segments)", ErrNoAutomaton, opts.MaxStates, len(segments))
+	return finish(), nil, fmt.Errorf("%w (max %d states, %d segments)", ErrNoAutomaton, opts.MaxStates, len(s.segments))
 }

@@ -55,6 +55,10 @@ func expandWindows(word []int32, w int) (pos []int, wins [][]int32) {
 	return
 }
 
+// TestWindowsVisitorMatchesExpanded: feeding a word to winScan as
+// randomly split runs visits exactly the positions and windows of the
+// expanded reference, in the same order — the scanner is insensitive
+// to how appends chunk a symbol run.
 func TestWindowsVisitorMatchesExpanded(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -69,24 +73,23 @@ func TestWindowsVisitorMatchesExpanded(t *testing.T) {
 			}
 			word[i] = cur
 		}
-		s := &rleSeq{}
-		for _, x := range word {
-			if k := len(s.ids); k > 0 && s.ids[k-1] == x {
-				s.counts[k-1]++
-			} else {
-				s.ids = append(s.ids, x)
-				s.counts = append(s.counts, 1)
-			}
-			s.total++
-		}
 		for w := 1; w <= 5; w++ {
 			wantPos, wantWins := expandWindows(word, w)
+			ws := newWinScan(w)
 			var gotPos []int
 			var gotWins [][]int32
-			s.windows(w, func(pos int, win []int32) {
+			visit := func(pos int, win []int32) {
 				gotPos = append(gotPos, pos)
 				gotWins = append(gotWins, append([]int32(nil), win...))
-			})
+			}
+			for i := 0; i < n; {
+				j := i + 1
+				for j < n && word[j] == word[i] && rng.Intn(2) == 0 {
+					j++
+				}
+				ws.feed(word[i], j-i, visit)
+				i = j
+			}
 			if !reflect.DeepEqual(gotPos, wantPos) || !reflect.DeepEqual(gotWins, wantWins) {
 				t.Fatalf("trial %d, w=%d, word %v:\n got %v %v\nwant %v %v",
 					trial, w, word, gotPos, gotWins, wantPos, wantWins)

@@ -320,6 +320,3 @@ func (m *Maintainer) Alphabet() map[string]*predicate.Predicate {
 
 // Stats returns the cumulative search effort across all revisions.
 func (m *Maintainer) Stats() learn.Stats { return m.lv.Stats() }
-
-// Checkpoint snapshots the current search state; see learn.Live.
-func (m *Maintainer) Checkpoint() *learn.CheckpointState { return m.lv.Checkpoint() }

@@ -152,7 +152,11 @@ func TestCanonicalizeMatchesBruteForce(t *testing.T) {
 			if want == nil {
 				t.Fatalf("round %d %s: satisfiable, but no relation accepted", round, stage)
 			}
-			probed += e.canonicalize()
+			probes, err := e.canonicalize(time.Time{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			probed += probes
 			for i := range want {
 				if e.rel[i] != want[i] {
 					t.Fatalf("round %d %s (n=%d syms=%d order=%v segs=%v anch=%v blocked=%v):\n got %v\nwant %v",
@@ -200,7 +204,12 @@ func TestSpareEncodingMatchesNew(t *testing.T) {
 			}
 			if a == sat.Sat {
 				satisfiable++
-				if pa, pb := fresh.canonicalize(), reused.canonicalize(); pa != pb {
+				pa, errA := fresh.canonicalize(time.Time{})
+				pb, errB := reused.canonicalize(time.Time{})
+				if errA != nil || errB != nil {
+					t.Fatalf("round %d %s: canonicalize: %v, %v", round, stage, errA, errB)
+				}
+				if pa != pb {
 					t.Fatalf("round %d %s: %d probes on a spare, %d on a new solver", round, stage, pb, pa)
 				}
 				if !reflect.DeepEqual(fresh.rel, reused.rel) {

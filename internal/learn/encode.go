@@ -265,14 +265,17 @@ var solveChunkConflicts int64 = 20000
 // unbounded; otherwise it solves in conflict-budget chunks so that a
 // single hard instance cannot overshoot a timeout unboundedly. It
 // returns Sat, Unsat, or Unknown when the deadline expired mid-solve.
-func (e *encoding) solve(deadline time.Time) sat.Status {
-	if deadline.IsZero() {
-		e.solver.MaxConflicts = 0
-		return e.solver.Solve()
+func (e *encoding) solve(deadline time.Time) sat.Status { return e.solveAssuming(deadline) }
+
+// solveAssuming is solve under temporary assumptions (see
+// sat.Solver.SolveAssuming).
+func (e *encoding) solveAssuming(deadline time.Time, assumptions ...sat.Lit) sat.Status {
+	e.solver.MaxConflicts = 0
+	if !deadline.IsZero() {
+		e.solver.MaxConflicts = solveChunkConflicts
 	}
-	e.solver.MaxConflicts = solveChunkConflicts
 	for {
-		st := e.solver.Solve()
+		st := e.solver.SolveAssuming(assumptions...)
 		if st != sat.Unknown || time.Now().After(deadline) {
 			return st
 		}
@@ -309,9 +312,11 @@ func (e *encoding) addStats(st *Stats) {
 // model is unspecified.
 // Cost: one solve per variable true in the snapshot when it is reached
 // (roughly, per transition of the model) and none for the rest. It
-// returns the number of probe solves.
-func (e *encoding) canonicalize() (solves int) {
-	e.solver.MaxConflicts = 0
+// returns the number of probe solves. Probes honour the deadline as
+// solve does; a probe the deadline cuts short ends the walk with
+// ErrBudgetExceeded, since taking it as unsatisfiable would fix the
+// variable true and change the model.
+func (e *encoding) canonicalize(deadline time.Time) (solves int, err error) {
 	k := e.n * e.numSyms * e.n
 	if cap(e.rel) < k {
 		e.rel = make([]bool, k)
@@ -326,7 +331,10 @@ func (e *encoding) canonicalize() (solves int) {
 		v := e.tVar(i)
 		if e.rel[i] {
 			solves++
-			if e.solver.SolveAssuming(append(fixed, sat.Neg(v))...) != sat.Sat {
+			switch e.solveAssuming(deadline, append(fixed, sat.Neg(v))...) {
+			case sat.Unknown:
+				return solves, ErrBudgetExceeded
+			case sat.Unsat:
 				fixed = append(fixed, sat.Pos(v))
 				continue
 			}
@@ -334,7 +342,7 @@ func (e *encoding) canonicalize() (solves int) {
 		}
 		fixed = append(fixed, sat.Neg(v))
 	}
-	return solves
+	return solves, nil
 }
 
 // tVar returns the transition variable at flat index i of the n-state

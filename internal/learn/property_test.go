@@ -3,6 +3,7 @@ package learn
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -100,6 +101,32 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 	}
 }
 
+// counterEncoding encodes every 3-window of the counter pattern at n
+// states, with the conflict budget checked after every conflict: the
+// budget is only checked between restart segments, so those shrink to
+// one conflict too — otherwise the first segment alone (default 100
+// conflicts) completes a small proof.
+func counterEncoding(n int) (enc *encoding, segments [][]int) {
+	symID := map[string]int{}
+	var seq []int
+	for _, s := range repeatPattern(10, 3) {
+		id, ok := symID[s]
+		if !ok {
+			id = len(symID)
+			symID[s] = id
+		}
+		seq = append(seq, id)
+	}
+	var anchored []bool
+	for i := 0; i+3 <= len(seq); i++ {
+		segments = append(segments, seq[i:i+3])
+		anchored = append(anchored, i == 0)
+	}
+	enc = newEncoding(n, len(symID), segments, anchored, true, nil)
+	enc.solver.RestartBase = 1
+	return enc, segments
+}
+
 // TestEncodingSolveDeadlineUnknown pins the deadline contract at the
 // encoding level: an expired deadline mid-solve must surface as
 // Unknown — never as Unsat, which would wrongly bump N.
@@ -112,31 +139,46 @@ func TestEncodingSolveDeadlineUnknown(t *testing.T) {
 	// UNSAT (the anchored segment must be embedded, yet no path may
 	// realise it) and the proof needs several conflicts, so the first
 	// one-conflict chunk cannot finish.
-	P := repeatPattern(10, 3)
-	symID := map[string]int{}
-	var seq []int
-	for _, s := range P {
-		id, ok := symID[s]
-		if !ok {
-			id = len(symID)
-			symID[s] = id
-		}
-		seq = append(seq, id)
-	}
-	var segments [][]int
-	var anchored []bool
-	for i := 0; i+3 <= len(seq); i++ {
-		segments = append(segments, seq[i:i+3])
-		anchored = append(anchored, i == 0)
-	}
-	enc := newEncoding(3, len(symID), segments, anchored, true, nil)
+	enc, segments := counterEncoding(3)
 	enc.blockGram(segments[0])
-	// The conflict budget is only checked between restart segments, so
-	// shrink those too — otherwise the first segment alone (default 100
-	// conflicts) completes the ~5-conflict proof.
-	enc.solver.RestartBase = 1
 	if st := enc.solve(time.Now().Add(-time.Second)); st != sat.Unknown {
 		t.Fatalf("expired deadline mid-solve returned %v, want Unknown", st)
+	}
+}
+
+// TestCanonicalizeDeadline pins the same contract for the canonical
+// walk: with an expired deadline a probe cut short surfaces as
+// ErrBudgetExceeded — never as an unsatisfiable probe, which would fix
+// a transition true and change the model — and with a deadline still
+// ahead, probes resumed across one-conflict chunks reach the unbounded
+// walk's relation.
+func TestCanonicalizeDeadline(t *testing.T) {
+	old := solveChunkConflicts
+	solveChunkConflicts = 1
+	defer func() { solveChunkConflicts = old }()
+
+	walk := func(deadline time.Time) (*encoding, error) {
+		t.Helper()
+		enc, _ := counterEncoding(4)
+		if st := enc.solve(time.Time{}); st != sat.Sat {
+			t.Fatalf("counter windows at N=4: %v, want Sat", st)
+		}
+		_, err := enc.canonicalize(deadline)
+		return enc, err
+	}
+	ref, err := walk(time.Time{})
+	if err != nil {
+		t.Fatalf("unbounded walk: %v", err)
+	}
+	chunked, err := walk(time.Now().Add(time.Hour))
+	if err != nil {
+		t.Fatalf("chunked walk: %v", err)
+	}
+	if !reflect.DeepEqual(chunked.rel, ref.rel) {
+		t.Fatalf("chunked walk relation %v, unbounded %v", chunked.rel, ref.rel)
+	}
+	if _, err := walk(time.Now().Add(-time.Second)); !errors.Is(err, ErrBudgetExceeded) {
+		t.Fatalf("walk past its deadline = %v, want ErrBudgetExceeded", err)
 	}
 }
 

@@ -193,10 +193,13 @@ func (s *search) refine(refinements int) (*automaton.NFA, error) {
 			return nil, errNeedGrow
 		}
 		t0 = time.Now()
-		probes := s.enc.canonicalize()
+		probes, err := s.enc.canonicalize(s.deadline)
+		s.cCanonSolve.Add(int64(probes))
+		if err != nil {
+			return nil, err
+		}
 		m := s.enc.extract(s.symbols)
 		s.hCanonNS.Since(t0)
-		s.cCanonSolve.Add(int64(probes))
 
 		// Compliance check (Algorithm 1 lines 38–45).
 		if invalid := invalidSequences(m, s.validGrams, s.symID, s.opts.ComplianceLen); len(invalid) > 0 {

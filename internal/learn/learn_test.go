@@ -318,3 +318,37 @@ func TestMultiSequenceValidation(t *testing.T) {
 		t.Error("empty sequence accepted")
 	}
 }
+
+// TestSearchCountsFinalWalk: the solver work of every canonical walk
+// reaches Stats, the walk that yields the returned model included.
+// After a batch search and after each live revision, the retained
+// solver has done no work since its last addStats.
+func TestSearchCountsFinalWalk(t *testing.T) {
+	for _, P := range propertySequences() {
+		_, s, err := generate(seqsOf(P), Options{Segmented: true, MaxStates: 32}, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", P, err)
+		}
+		if got, counted := s.enc.solver.Stats, s.enc.prev; got != counted {
+			t.Fatalf("%v: solver stats %+v after the search, Stats counted %+v", P, got, counted)
+		}
+	}
+	for name, word := range liveWorkloads() {
+		lv, err := NewLive(Options{Segmented: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sym := range word {
+			lv.Append(sym, 1)
+			if !lv.Ready() {
+				continue
+			}
+			if _, err := lv.Revise(false); err != nil {
+				t.Fatalf("%s[:%d]: %v", name, i+1, err)
+			}
+			if got, counted := lv.s.enc.solver.Stats, lv.s.enc.prev; got != counted {
+				t.Fatalf("%s[:%d]: solver stats %+v after the revision, Stats counted %+v", name, i+1, got, counted)
+			}
+		}
+	}
+}

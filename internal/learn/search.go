@@ -194,6 +194,7 @@ func (s *search) refine(refinements int) (*automaton.NFA, error) {
 		}
 		t0 = time.Now()
 		probes, err := s.enc.canonicalize(s.deadline)
+		s.enc.addStats(&s.stats)
 		s.cCanonSolve.Add(int64(probes))
 		if err != nil {
 			return nil, err

@@ -12,7 +12,9 @@
 package automaton
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -203,35 +205,36 @@ func (m *NFA) AcceptsAnywhere(word []string) bool {
 
 // SymbolSequences returns the set of words of exactly length l that
 // label a transition sequence anywhere in the automaton — the set S_l
-// of the paper's compliance check (line 41 of Algorithm 1).
+// of the paper's compliance check (line 41 of Algorithm 1) — sorted
+// element by element.
 func (m *NFA) SymbolSequences(l int) [][]string {
 	var out [][]string
 	seen := map[string]bool{}
 	word := make([]string, 0, l)
+	key := make([]byte, 0, 4*l) // the word's symbol indices
 	var dfs func(q State, depth int)
 	dfs = func(q State, depth int) {
 		if depth == l {
-			key := strings.Join(word, "\x00")
-			if !seen[key] {
-				seen[key] = true
+			if !seen[string(key)] {
+				seen[string(key)] = true
 				out = append(out, append([]string(nil), word...))
 			}
 			return
 		}
-		for _, sym := range m.symbols {
+		for i, sym := range m.symbols {
 			for _, to := range m.delta[q][sym] {
 				word = append(word, sym)
+				key = binary.LittleEndian.AppendUint32(key, uint32(i))
 				dfs(to, depth+1)
 				word = word[:len(word)-1]
+				key = key[:len(key)-4]
 			}
 		}
 	}
 	for q := 0; q < m.numStates; q++ {
 		dfs(State(q), 0)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.Join(out[i], "\x00") < strings.Join(out[j], "\x00")
-	})
+	slices.SortFunc(out, slices.Compare[[]string])
 	return out
 }
 

@@ -2,6 +2,7 @@ package automaton
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -144,6 +145,54 @@ func TestSymbolSequences(t *testing.T) {
 	// l = 0 is the empty word only.
 	if got := m.SymbolSequences(0); len(got) != 1 || len(got[0]) != 0 {
 		t.Errorf("SymbolSequences(0) = %v", got)
+	}
+}
+
+// TestSymbolSequencesOrder: the words come out deduplicated and in
+// the order of their NUL-joined text, which the learner's blocked
+// grams, and so its clauses, follow.
+func TestSymbolSequencesOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	syms := []string{"b", "a", "ab", "c", "ba"}
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + r.Intn(4)
+		m := MustNew(n, 0)
+		for e := 0; e < 3*n; e++ {
+			m.MustAddTransition(State(r.Intn(n)), syms[r.Intn(len(syms))], State(r.Intn(n)))
+		}
+		for _, l := range []int{1, 2, 3} {
+			got := m.SymbolSequences(l)
+			seen := map[string]bool{}
+			var want []string
+			for _, w := range got {
+				key := strings.Join(w, "\x00")
+				if seen[key] {
+					t.Fatalf("l=%d: %v listed twice", l, w)
+				}
+				seen[key] = true
+				want = append(want, key)
+			}
+			if !sort.StringsAreSorted(want) {
+				t.Fatalf("l=%d: words out of order: %q", l, want)
+			}
+		}
+	}
+}
+
+// TestSymbolSequencesAllocs: enumeration allocates per distinct word,
+// not per path or per sort comparison.
+func TestSymbolSequencesAllocs(t *testing.T) {
+	syms := []string{"p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"}
+	m := MustNew(6, 0)
+	for s := 0; s < 6; s++ {
+		for i, sym := range syms {
+			m.MustAddTransition(State(s), sym, State((s+i)%6))
+		}
+	}
+	words := len(m.SymbolSequences(2))
+	allocs := testing.AllocsPerRun(10, func() { m.SymbolSequences(2) })
+	if limit := float64(3*words + 32); allocs > limit {
+		t.Errorf("SymbolSequences(2) made %.0f allocations for %d words, want at most %.0f", allocs, words, limit)
 	}
 }
 

@@ -199,7 +199,7 @@ func (l *Live) Revise(forceRemin bool) (reminimized bool, err error) {
 		// valid gram, even with no new segment, disables this skip: it
 		// enlarges the compliant set and may admit a lex-smaller model
 		// that a batch relearn would find.
-		if l.rle().firstReject(l.model, l.seq.syms) < 0 {
+		if _, k := l.rle().walk(l.model, l.seq.syms); k < 0 {
 			return false, nil
 		}
 		// It rejects: fall through to extension, whose acceptance
@@ -321,23 +321,9 @@ func (l *Live) Dirty() bool {
 // model rejects (impossible right after a successful Revise). Runs the
 // model self-loops on are consumed in O(1).
 func (l *Live) Walk() (automaton.State, bool) {
-	m := l.model
-	if m == nil {
+	if l.model == nil {
 		return 0, false
 	}
-	cur := m.Initial()
-	for i, id := range l.seq.ids {
-		key := l.seq.syms[id]
-		for j := int32(0); j < l.seq.counts[i]; j++ {
-			next, ok := m.Step(cur, key)
-			if !ok {
-				return cur, false
-			}
-			if next == cur {
-				break // self-loop absorbs the rest of the run
-			}
-			cur = next
-		}
-	}
-	return cur, true
+	cur, k := l.rle().walk(l.model, l.seq.syms)
+	return cur, k < 0
 }

@@ -122,11 +122,12 @@ func (s *rleSeq) expand(lo, hi int) []int32 {
 	return out
 }
 
-// firstReject runs the sequence through the (deterministic) automaton
-// from its initial state and returns the position of the first symbol
-// with no transition, or −1. Runs the automaton self-loops on are
-// consumed in O(1).
-func (s *rleSeq) firstReject(m *automaton.NFA, symbols []string) int {
+// walk runs the sequence through the (deterministic) automaton from
+// its initial state. It returns the state the run ends in and −1, or
+// the state it dead-ends in and the position of the first symbol with
+// no transition. Runs the automaton self-loops on are consumed in
+// O(1).
+func (s *rleSeq) walk(m *automaton.NFA, symbols []string) (automaton.State, int) {
 	cur := m.Initial()
 	pos := 0
 	for r := range s.ids {
@@ -135,7 +136,7 @@ func (s *rleSeq) firstReject(m *automaton.NFA, symbols []string) int {
 		for i := 0; i < c; i++ {
 			next, ok := m.Step(cur, sym)
 			if !ok {
-				return pos
+				return cur, pos
 			}
 			if next == cur {
 				// Self-loop: the rest of the run stays put.
@@ -146,7 +147,7 @@ func (s *rleSeq) firstReject(m *automaton.NFA, symbols []string) int {
 			pos++
 		}
 	}
-	return -1
+	return cur, -1
 }
 
 // winScan enumerates the w-window visits of a sequence fed to it one
@@ -160,44 +161,39 @@ func (s *rleSeq) firstReject(m *automaton.NFA, symbols []string) int {
 // and the learned automaton, is that of a scan of the expanded
 // sequence.
 type winScan struct {
-	size  int
-	ring  []int32 // last `size` symbols, circular
-	buf   []int32 // in-order window scratch handed to visit
+	win   []int32 // the last len(win) symbols, in order once n ≥ len(win)
 	n     int     // total symbols consumed
-	eqLen int     // trailing equal-symbol run length, capped at size+1
+	eqLen int     // trailing equal-symbol run length, capped at len(win)+1
 }
 
 func newWinScan(size int) *winScan {
-	return &winScan{size: size, ring: make([]int32, size), buf: make([]int32, size)}
+	return &winScan{win: make([]int32, size)}
 }
 
-// feed consumes one appended run. visit's win slice is reused; copy to
-// keep.
+// feed consumes one appended run. visit's win slice is the scanner's
+// own; copy what you keep.
 func (ws *winScan) feed(id int32, count int, visit func(start int, win []int32)) {
-	for count > 0 {
-		if ws.n > 0 && ws.ring[(ws.n-1)%ws.size] == id && ws.eqLen >= ws.size+1 {
-			// Every remaining position of this run sits strictly
-			// inside an equal-symbol run of length ≥ size+1: all
-			// skipped, and the ring stays all-id.
-			ws.n += count
-			return
-		}
-		if ws.n > 0 && ws.ring[(ws.n-1)%ws.size] == id {
-			if ws.eqLen < ws.size+1 {
-				ws.eqLen++
+	size := len(ws.win)
+	for ; count > 0; count-- {
+		if ws.n > 0 && ws.win[size-1] == id {
+			if ws.eqLen > size {
+				// Every remaining position of this run sits strictly
+				// inside an equal-symbol run longer than size: all
+				// skipped, and the window stays all-id.
+				ws.n += count
+				return
 			}
+			ws.eqLen++
 		} else {
 			ws.eqLen = 1
 		}
-		ws.ring[ws.n%ws.size] = id
+		for k := 1; k < size; k++ { // cheaper than copy for a few symbols
+			ws.win[k-1] = ws.win[k]
+		}
+		ws.win[size-1] = id
 		ws.n++
-		count--
-		if ws.n >= ws.size && ws.eqLen < ws.size+1 {
-			start := ws.n - ws.size
-			for k := 0; k < ws.size; k++ {
-				ws.buf[k] = ws.ring[(start+k)%ws.size]
-			}
-			visit(start, ws.buf)
+		if ws.n >= size && ws.eqLen <= size {
+			visit(ws.n-size, ws.win)
 		}
 	}
 }

@@ -230,7 +230,7 @@ func (s *search) refine(refinements int) (*automaton.NFA, error) {
 		var seq *rleSeq
 		k := -1
 		for _, q := range s.seqs {
-			if k = q.firstReject(m, s.symbols); k >= 0 {
+			if _, k = q.walk(m, s.symbols); k >= 0 {
 				seq = q
 				break
 			}

@@ -328,3 +328,60 @@ func TestLiveExtendAccountsStats(t *testing.T) {
 		t.Errorf("failed extension added no wall time (%v → %v)", before.Duration, after.Duration)
 	}
 }
+
+// FuzzLiveMatchesBatch: the input decodes into a word over at most
+// four symbols, one byte per Append — bits 0–1 the symbol, bits 2–3
+// the run length minus one, so consecutive bytes split runs at random
+// — and bit 4 forces a re-minimization at the revision that follows.
+// After every Append from the first full window on, a successful
+// Revise must leave the model a fresh GenerateModelSeqs learns over
+// the same prefix, and a failed one must match a failed batch search.
+func FuzzLiveMatchesBatch(f *testing.F) {
+	for _, word := range liveWorkloads() {
+		ids := map[string]byte{}
+		var in []byte
+		for _, sym := range word {
+			id, ok := ids[sym]
+			if !ok {
+				id = byte(len(ids))
+				ids[sym] = id
+			}
+			in = append(in, id)
+		}
+		f.Add(in)
+	}
+	f.Add([]byte{0x00, 0x05, 0x0a, 0x1b, 0x00, 0x15, 0x02, 0x0e, 0x13})
+	syms := []string{"a", "b", "c", "d"}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) > 24 {
+			in = in[:24]
+		}
+		opts := Options{Segmented: true, MaxStates: 5}
+		lv, err := NewLive(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var word []string
+		for i, b := range in {
+			sym, count := syms[b&3], 1+int(b>>2&3)
+			lv.Append(sym, count)
+			for k := 0; k < count; k++ {
+				word = append(word, sym)
+			}
+			if !lv.Ready() {
+				continue
+			}
+			_, liveErr := lv.Revise(b&0x10 != 0)
+			batch, batchErr := GenerateModelSeqs([]*Seq{seqOf(word)}, opts)
+			if (liveErr == nil) != (batchErr == nil) {
+				t.Fatalf("byte %d, word %v: live error %v, batch error %v", i, word, liveErr, batchErr)
+			}
+			if liveErr != nil {
+				return
+			}
+			if lm, bm := lv.Model().String(), batch.Automaton.String(); lm != bm {
+				t.Fatalf("byte %d, word %v: live model diverges from batch:\nlive:\n%s\nbatch:\n%s", i, word, lm, bm)
+			}
+		}
+	})
+}

@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -161,6 +162,10 @@ func TestLiveStreamBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The sampler reads HeapAlloc, which counts garbage earlier tests
+	// left behind (TestSampledTraceBoundedAtScale grows the heap past
+	// 1.5 GB): collect it so the peak is this test's own.
+	runtime.GC()
 	hs := pipeline.StartHeapSampler(time.Millisecond)
 	mnt, p, _ := runLiveCSV(t, buf.Bytes(), repro.LearnOptions{}, repro.LiveOptions{})
 	peak := hs.Stop()

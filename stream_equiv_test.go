@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -99,6 +100,10 @@ func TestStreamingBoundedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The sampler reads HeapAlloc, which counts garbage earlier tests
+	// left behind (TestSampledTraceBoundedAtScale grows the heap past
+	// 1.5 GB): collect it so the peak is this test's own.
+	runtime.GC()
 	hs := pipeline.StartHeapSampler(time.Millisecond)
 	src, err := trace.NewCSVSource(bytes.NewReader(buf.Bytes()))
 	if err != nil {

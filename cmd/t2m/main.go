@@ -53,11 +53,6 @@ type config struct {
 	noSeg, stream, quiet        bool
 	timeout                     time.Duration
 
-	// Crash safety (see README "Crash safety").
-	checkpointDir   string
-	checkpointEvery int
-	resume          bool
-
 	// Observability (see README "Observability" and "Run analytics").
 	traceOut      string
 	traceFull     bool
@@ -83,9 +78,6 @@ func main() {
 	flag.BoolVar(&cfg.noSeg, "no-segmentation", false, "disable segmentation (full-trace mode)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "search timeout (0 = none)")
 	flag.BoolVar(&cfg.stream, "stream", false, "stream the trace: bounded memory, identical model")
-	flag.StringVar(&cfg.checkpointDir, "checkpoint", "", "periodically checkpoint the run into this directory (requires -stream)")
-	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 0, "ingest checkpoint interval in observations (0 = 100000)")
-	flag.BoolVar(&cfg.resume, "resume", false, "resume from the newest valid checkpoint in -checkpoint instead of starting fresh")
 	flag.BoolVar(&cfg.quiet, "q", false, "print only the automaton")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "write the run's span/event trace as NDJSON to this file (high-cardinality span kinds are sampled; see -trace-full)")
 	flag.BoolVar(&cfg.traceFull, "trace-full", false, "emit every span unsampled (trace file grows with trace length)")
@@ -155,18 +147,12 @@ func run(cfg config) (err error) {
 	if cfg.in == "" {
 		return fmt.Errorf("missing -in")
 	}
-	if cfg.checkpointDir != "" && !cfg.stream {
-		return fmt.Errorf("-checkpoint requires -stream")
-	}
-	if cfg.resume && cfg.checkpointDir == "" {
-		return fmt.Errorf("-resume requires -checkpoint")
-	}
 
 	// SIGINT/SIGTERM cancel the run context: the pipeline stops at the
-	// next safe boundary, the deferred cleanups below still flush the
-	// telemetry trace and the last checkpoint written stays resumable.
-	// The first signal unregisters the handler, so a second one kills
-	// the process outright (e.g. when stuck on a blocked stdin read).
+	// next safe boundary and the deferred cleanups below still flush
+	// the telemetry trace. The first signal unregisters the handler, so
+	// a second one kills the process outright (e.g. when stuck on a
+	// blocked stdin read).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	context.AfterFunc(ctx, stop)
@@ -199,10 +185,10 @@ func run(cfg config) (err error) {
 		fmt.Printf("metrics: listening on %s\n", srv.URL())
 	}
 
-	// The input digest feeds both the manifest and the checkpoint
-	// chain; computed once, and only when some artifact records it.
+	// The input digest feeds the manifest and the run record; computed
+	// once, and only when some artifact records it.
 	var input *pipeline.InputDigest
-	if cfg.in != "-" && (cfg.manifestOut != "" || cfg.checkpointDir != "" || store != nil) {
+	if cfg.in != "-" && (cfg.manifestOut != "" || store != nil) {
 		d := repro.FileDigest(cfg.in)
 		d.Format = detectFormat(cfg.in, cfg.informat)
 		input = &d
@@ -217,15 +203,6 @@ func run(cfg config) (err error) {
 		Timeout:         cfg.timeout,
 		Telemetry:       tel,
 		Context:         ctx,
-		CheckpointDir:   cfg.checkpointDir,
-		CheckpointEvery: cfg.checkpointEvery,
-		Resume:          cfg.resume,
-		CheckpointInput: input,
-	}
-	if cfg.resume && !cfg.quiet {
-		if info, ierr := repro.InspectCheckpoint(cfg.checkpointDir); ierr == nil {
-			fmt.Printf("resuming from checkpoint %d (%s phase, offset %d)\n", info.Seq, info.Phase, info.Offset)
-		}
 	}
 
 	var (

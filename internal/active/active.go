@@ -191,9 +191,7 @@ type Result struct {
 // Refine runs the counterexample-guided refinement loop: learn a
 // hypothesis from the seed trace, then probe / check / fold until the
 // fixpoint or the round budget. The pipeline options control the
-// learner (learn options, telemetry, context); checkpointing is
-// rejected here — each round's relearn is already atomic (see
-// core.LearnSources).
+// learner (learn options, telemetry, context).
 func Refine(sys systems.Scheduler, seed *trace.Trace, copts core.Options, opts Options) (*Result, error) {
 	if seed == nil || seed.Len() < 2 {
 		return nil, errors.New("active: seed trace must have at least 2 observations")
@@ -201,9 +199,6 @@ func Refine(sys systems.Scheduler, seed *trace.Trace, copts core.Options, opts O
 	if !seed.Schema().Equal(sys.Schema()) {
 		return nil, fmt.Errorf("active: seed schema %v does not match system %s schema %v",
 			seed.Schema().Names(), sys.Name(), sys.Schema().Names())
-	}
-	if copts.Checkpoint.Enabled() {
-		return nil, errors.New("active: checkpointing is not supported inside the probe loop; snapshot the seed learn separately")
 	}
 	opts = opts.withDefaults(seed.Len())
 	pl, err := core.NewPipeline(seed.Schema(), copts)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"repro/internal/automaton"
-	"repro/internal/checkpoint"
 	"repro/internal/learn"
 	"repro/internal/pipeline"
 	"repro/internal/predicate"
@@ -42,10 +41,6 @@ type Options struct {
 	// cancelled. Cancellation surfaces as an "interrupted at stage X"
 	// error and never leaves partial state behind.
 	Context context.Context
-	// Checkpoint enables periodic crash-consistent snapshots of
-	// LearnSource runs, and resume from them (see internal/checkpoint
-	// and checkpoint.go). The zero value disables checkpointing.
-	Checkpoint checkpoint.Config
 }
 
 // Pipeline learns models from traces over one schema. The predicate

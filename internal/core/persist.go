@@ -29,8 +29,8 @@ import (
 //     expression parser round-trips),
 //   - the automaton (state count, initial state, transitions), and
 //   - a trailing "genstate" line holding the full generator snapshot
-//     (interner + window memo + seeds, the checkpoint encoding of
-//     DESIGN.md note 14) as one JSON object.
+//     (interner + window memo + seeds, predicate.SnapshotState) as
+//     one JSON object.
 //
 // The genstate section is what makes a reload abstraction-faithful:
 // seeds alone are not enough, because synthesis with the *final* seed

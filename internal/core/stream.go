@@ -46,11 +46,8 @@ func (p *Pipeline) LearnAll(trs []*trace.Trace) (*Model, error) {
 // LearnSource runs the full pipeline on a streamed trace. The model's
 // P field is nil — the expanded predicate sequence is deliberately
 // never materialised — and the predicate stage records its run count.
-//
-// With Options.Checkpoint enabled the run is periodically snapshotted
-// (and possibly resumed — see checkpoint.go); with Options.Context set
-// it is cancellable at observation and solver-round boundaries. Both
-// paths produce models byte-identical to a plain uninterrupted run.
+// With Options.Context set the run is cancellable at observation and
+// solver-round boundaries.
 func (p *Pipeline) LearnSource(src trace.Source) (*Model, error) {
 	return p.learn([]trace.Source{src}, false)
 }
@@ -60,12 +57,6 @@ func (p *Pipeline) LearnSource(src trace.Source) (*Model, error) {
 // step of the active-probing loop: each probe round relearns from
 // [seed trace, probe trace] without materialising either predicate
 // sequence.
-//
-// Checkpointing needs a single source: the checkpoint driver snapshots
-// one source's ingestion front. Callers that need crash safety around
-// multi-trace learning (the active loop) get it at a coarser grain —
-// every round's relearn is a complete, atomic LearnSources run, so a
-// crash rolls back to the previous round's model.
 func (p *Pipeline) LearnSources(srcs []trace.Source) (*Model, error) {
 	if len(srcs) == 0 {
 		return nil, errors.New("core: no sources")
@@ -77,14 +68,9 @@ func (p *Pipeline) LearnSources(srcs []trace.Source) (*Model, error) {
 // SequenceSource pass into its own learn.Seq, under one heap sampler;
 // learn.GenerateModelSeqs then solves the seqs together. expand fills
 // Model.P with the concatenated predicate sequences (the in-memory
-// entry points); otherwise P stays nil, the predicate stage records
-// its run count instead, and a single-source run is checkpointed when
-// Options.Checkpoint is enabled.
+// entry points); otherwise P stays nil and the predicate stage records
+// its run count instead.
 func (p *Pipeline) learn(srcs []trace.Source, expand bool) (*Model, error) {
-	checkpointed := p.opts.Checkpoint.Enabled() && !expand
-	if checkpointed && len(srcs) > 1 {
-		return nil, errors.New("core: checkpointing is not supported for multi-source learning")
-	}
 	var metrics pipeline.Metrics
 	tel := p.opts.Telemetry
 	ttr := tel.Trace()
@@ -112,30 +98,11 @@ func (p *Pipeline) learn(srcs []trace.Source, expand bool) (*Model, error) {
 	})
 	hRunLen := tel.Hist("predicate_run_len", "windows")
 
-	fail := func(err error) (*Model, error) {
-		ttr.End(stage)
-		return nil, p.interrupted("predicate", err)
-	}
-	var drv *ckptDriver
-	if checkpointed {
-		var err error
-		if drv, err = newCkptDriver(p, p.opts.Checkpoint); err != nil {
-			return fail(err)
-		}
-		drv.runSpan = run
-	}
 	alphabet := make(map[string]*predicate.Predicate)
 	seqs := make([]*learn.Seq, len(srcs))
 	var P []string
-	var resume *learn.CheckpointState
 	for i, src := range srcs {
 		seq := learn.NewSeq()
-		if drv != nil && drv.from != nil {
-			var err error
-			if seq, alphabet, resume, err = drv.restore(); err != nil {
-				return fail(err)
-			}
-		}
 		seqs[i] = seq
 		// Predicates are interned, so their pointers are the cheap
 		// identity: cache the per-predicate symbol id and alphabet
@@ -157,18 +124,12 @@ func (p *Pipeline) learn(srcs []trace.Source, expand bool) (*Model, error) {
 			}
 			return nil
 		}
-		var err error
-		if drv != nil {
-			drv.seq = seq
-			err = drv.ingest(src, emit)
-		} else {
-			err = p.gen.SequenceSource(src, emit)
-		}
-		if err != nil {
+		if err := p.gen.SequenceSource(src, emit); err != nil {
 			if len(srcs) > 1 {
 				err = fmt.Errorf("source %d: %w", i, err)
 			}
-			return fail(err)
+			ttr.End(stage)
+			return nil, p.interrupted("predicate", err)
 		}
 	}
 
@@ -213,11 +174,6 @@ func (p *Pipeline) learn(srcs []trace.Source, expand bool) (*Model, error) {
 	sp = metrics.Start("model")
 	lo := p.opts.Learn
 	lo.TraceSpan = p.startStage(run, "model")
-	if drv != nil {
-		drv.freezeIngest()
-		lo.Resume = resume
-		lo.Checkpoint = drv.learnHook
-	}
 	res, err := learn.GenerateModelSeqs(seqs, lo)
 	if err != nil {
 		ttr.End(lo.TraceSpan, pipeline.Bool("ok", false))
@@ -247,6 +203,15 @@ func (p *Pipeline) learn(srcs []trace.Source, expand bool) (*Model, error) {
 		Stages:         metrics.Stages(),
 		pipeline:       p,
 	}, nil
+}
+
+// interrupted wraps err with the stage the run was cancelled in when
+// the run context is done; otherwise it returns err unchanged.
+func (p *Pipeline) interrupted(stage string, err error) error {
+	if ctx := p.opts.Context; ctx != nil && ctx.Err() != nil {
+		return fmt.Errorf("core: interrupted at stage %s: %w", stage, err)
+	}
+	return err
 }
 
 // endStage closes one stage on both telemetry channels from one counter

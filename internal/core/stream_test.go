@@ -121,8 +121,9 @@ func (s *countingSource) NextID(in *trace.Interner) (trace.ObsID, error) {
 
 // TestContextKeepsIDSource: a run with a Context must still read an
 // IDSource through NextID only (the raw-record id cache), on every
-// streaming entry point, and cancelling it mid-stream must still stop
-// the run in the predicate stage.
+// streaming entry point. Cancelling it mid-stream must still stop the
+// run in the predicate stage, and cancelling it as the source ends
+// must stop it in the model stage.
 func TestContextKeepsIDSource(t *testing.T) {
 	tr := counterTrace(t, 2000)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -174,6 +175,25 @@ func TestContextKeepsIDSource(t *testing.T) {
 	}
 	if src.nextIDs >= tr.Len() {
 		t.Errorf("cancelled run read %d of %d observations", src.nextIDs, tr.Len())
+	}
+
+	// The windower does not check the context once the source returns
+	// io.EOF, so a cancellation on that read lets ingestion finish and
+	// surfaces in the model stage.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	if p, err = NewPipeline(tr.Schema(), Options{Context: ctx, Learn: learn.Options{Segmented: true}}); err != nil {
+		t.Fatal(err)
+	}
+	src = newSrc()
+	src.onID = func(n int) {
+		if n == tr.Len()+1 {
+			cancel()
+		}
+	}
+	_, err = p.LearnSource(src)
+	if err == nil || !strings.Contains(err.Error(), "core: interrupted at stage model") || !errors.Is(err, context.Canceled) {
+		t.Fatalf("LearnSource cancelled at end of input: err = %v, want an interruption in the model stage", err)
 	}
 }
 

@@ -68,19 +68,6 @@ type Options struct {
 	// handling; a round in flight finishes first). Nil means never
 	// cancelled.
 	Context context.Context
-	// Checkpoint, when non-nil, is called at the top of every solver
-	// round with a snapshot of the refinement state, before the
-	// round's solver call is counted. A non-nil return aborts the
-	// search with that error. The snapshot is a deep copy and may be
-	// retained.
-	Checkpoint func(*CheckpointState) error
-	// Resume restores a previously checkpointed refinement state: the
-	// search starts at the snapshot's N with its segments, blocked
-	// grams, acceptance window and counters, instead of segmenting
-	// afresh and starting at StartStates. The input sequences must be
-	// the ones the snapshot was taken from (internal/checkpoint
-	// enforces this with an input hash).
-	Resume *CheckpointState
 	// Telemetry records solver-call counters, latency histograms, and
 	// compliance/acceptance events into the run's registry and trace.
 	// Nil disables all recording; telemetry never changes results.

@@ -68,17 +68,13 @@ type Live struct {
 }
 
 // NewLive returns a Live learner over an initially empty sequence.
-// Only the segmented single-sequence configuration is supported (the
+// Only the segmented single-sequence configuration is supported: the
 // non-segmented baseline is O(length) per constraint and has no
-// incremental form), and checkpoint callbacks/resume belong to the
-// batch entry points.
+// incremental form.
 func NewLive(opts Options) (*Live, error) {
 	opts = opts.withDefaults()
 	if !opts.Segmented {
 		return nil, errors.New("learn: live maintenance requires the segmented encoding")
-	}
-	if opts.Checkpoint != nil || opts.Resume != nil {
-		return nil, errors.New("learn: live maintenance does not take batch checkpoint options")
 	}
 	return &Live{
 		opts:       opts,
@@ -284,19 +280,22 @@ func (l *Live) extend() error {
 		s.deadline = start.Add(l.opts.Timeout)
 	}
 	// Only the window at position 0 anchors, and it is recorded before
-	// the first re-minimization, which clears pending.
+	// the first re-minimization, which clears pending. Pending stays
+	// set until the refinement loop succeeds, so a cut-short extension
+	// leaves the learner dirty; its retry re-records nothing, since
+	// record dedupes.
 	for _, win := range l.pending {
 		if idx, added, _ := s.record(win, false); added {
 			s.enc.addSegment(s.segments[idx], false)
 		}
 	}
-	l.pending = l.pending[:0]
 	s.seqs[0] = l.rle()
 	s.validGrams = l.validGrams
-	m, err := s.refine(0)
+	m, err := s.refine()
 	if err != nil {
 		return err
 	}
+	l.pending = l.pending[:0]
 	l.model = m
 	l.freshGrams = false
 	return nil

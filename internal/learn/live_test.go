@@ -142,7 +142,7 @@ func TestLiveStaleBlockedGramForcesRemin(t *testing.T) {
 	if !remin {
 		t.Fatal("stale retained state did not force a re-minimization")
 	}
-	batch, err := GenerateModelSeqs([]*Seq{cloneSeqFromLive(t, lv)}, Options{Segmented: true})
+	batch, err := GenerateModelSeqs([]*Seq{cloneSeqFromLive(lv)}, Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestLiveFailedReminimization(t *testing.T) {
 	if lv.Dirty() {
 		t.Fatal("no retained search after a successful re-minimization")
 	}
-	batch, err := GenerateModelSeqs([]*Seq{cloneSeqFromLive(t, lv)}, Options{Segmented: true})
+	batch, err := GenerateModelSeqs([]*Seq{cloneSeqFromLive(lv)}, Options{Segmented: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,24 +219,72 @@ func TestLiveFailedReminimization(t *testing.T) {
 	}
 }
 
-// cloneSeqFromLive rebuilds the live sequence as a fresh batch input.
-func cloneSeqFromLive(t *testing.T, lv *Live) *Seq {
-	t.Helper()
-	seq, err := NewSeqFromState(lv.seq.State())
+// TestLiveFailedExtensionStaysDirty: an extension cut short — here by
+// a context cancelled before its first solve — must leave its windows
+// pending, so the learner stays dirty; once the context clears, the
+// next Revise must reach the batch model and leave the learner clean.
+func TestLiveFailedExtensionStaysDirty(t *testing.T) {
+	ctx := &switchCtx{Context: context.Background()}
+	lv, err := NewLive(Options{Segmented: true, Context: ctx})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, sym := range strings.Split("aabbababab", "") {
+		lv.Append(sym, 1)
+	}
+	if _, err := lv.Revise(false); err != nil {
+		t.Fatal(err)
+	}
+	lv.Append("a", 1)
+	lv.Append("a", 1)
+	pending := lv.Pending()
+	if pending == 0 || !lv.Dirty() {
+		t.Fatalf("appending aa left %d pending segments, Dirty = %v; want new evidence", pending, lv.Dirty())
+	}
+
+	ctx.err = context.Canceled
+	remin, err := lv.Revise(false)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Revise under a cancelled context = %v, want context.Canceled", err)
+	}
+	if remin {
+		t.Fatal("the cancelled Revise re-minimized; want an extension")
+	}
+	if !lv.Dirty() || lv.Pending() != pending {
+		t.Fatalf("after the failed extension: Dirty = %v, %d pending; want true, %d", lv.Dirty(), lv.Pending(), pending)
+	}
+
+	ctx.err = nil
+	if _, err := lv.Revise(false); err != nil {
+		t.Fatal(err)
+	}
+	if lv.Dirty() {
+		t.Fatal("Dirty after a successful Revise")
+	}
+	batch, err := GenerateModelSeqs([]*Seq{cloneSeqFromLive(lv)}, Options{Segmented: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lm, bm := lv.Model().String(), batch.Automaton.String(); lm != bm {
+		t.Fatalf("model after the retried extension diverges from batch:\nlive:\n%s\nbatch:\n%s", lm, bm)
+	}
+}
+
+// cloneSeqFromLive rebuilds the live sequence as a fresh batch input.
+func cloneSeqFromLive(lv *Live) *Seq {
+	seq := NewSeq()
+	for i, id := range lv.seq.ids {
+		seq.Append(lv.seq.syms[id], int(lv.seq.counts[i]))
 	}
 	return seq
 }
 
 // TestLiveRejectsUnsupportedOptions: live maintenance is the segmented
-// algorithm; batch-only options are refused up front.
+// algorithm; the non-segmented baseline is refused up front, and so is
+// a revision of a sequence shorter than the segmentation window.
 func TestLiveRejectsUnsupportedOptions(t *testing.T) {
 	if _, err := NewLive(Options{}); err == nil {
 		t.Fatal("non-segmented options accepted")
-	}
-	if _, err := NewLive(Options{Segmented: true, Resume: &CheckpointState{}}); err == nil {
-		t.Fatal("batch resume option accepted")
 	}
 	lv, err := NewLive(Options{Segmented: true})
 	if err != nil {

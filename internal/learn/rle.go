@@ -276,12 +276,9 @@ func generate(inSeqs []*Seq, opts Options, spare *sat.Solver) (*Result, *search,
 	for _, q := range seqs {
 		w := min(opts.Window, q.total)
 		maxW = max(maxW, w)
-		switch {
-		case opts.Resume != nil:
-			// The segment table is restored below.
-		case opts.Segmented:
+		if opts.Segmented {
 			q.scan(w, func(pos int, win []int32) { s.record(win, pos == 0) })
-		default:
+		} else {
 			// Non-segmented baseline: the whole sequence is one
 			// segment, so this mode is O(length) resident by design.
 			s.record(q.expand(0, q.total), true)
@@ -304,26 +301,14 @@ func generate(inSeqs []*Seq, opts Options, spare *sat.Solver) (*Result, *search,
 		})
 	}
 
-	startN, refinements := opts.StartStates, 0
-	if st := opts.Resume; st != nil {
-		if err := s.resume(st); err != nil {
-			return nil, nil, err
-		}
-		if st.N > 0 {
-			startN = st.N
-		}
-		refinements = st.Refinements
-	}
-
 	finish := func() *Result {
 		s.stats.Duration = time.Since(start)
 		s.stats.CPU = cpuTime() - cpuStart
 		return &Result{Stats: s.stats}
 	}
-	for n := startN; n <= opts.MaxStates; n++ {
+	for n := opts.StartStates; n <= opts.MaxStates; n++ {
 		s.encode(n, spare)
-		m, err := s.refine(refinements)
-		refinements = 0
+		m, err := s.refine()
 		if err == errNeedGrow {
 			spare = s.enc.solver
 			continue

@@ -117,9 +117,7 @@ func (s *search) encode(n int, spare *sat.Solver) {
 // where its run dead-ends (acceptance), and solve again until a model
 // is both compliant and accepting. It returns that model, errNeedGrow
 // when no model exists at this N, or an error that ends the search.
-// refinements is the count of compliance refinements already made at
-// this N (non-zero only for a resumed search); both refinement caps
-// count per call.
+// Both refinement caps count per call.
 //
 // Acceptance refinement: embedding every w-window does not by itself
 // make the automaton accept P — the solver can return "parity" models
@@ -133,30 +131,11 @@ func (s *search) encode(n int, spare *sat.Solver) {
 // grows into the full prefix and the search degenerates soundly into
 // the non-segmented encoding. Repeating trace patterns are still
 // constrained only once, preserving the segmentation speedup.
-func (s *search) refine(refinements int) (*automaton.NFA, error) {
+func (s *search) refine() (*automaton.NFA, error) {
 	n := s.enc.n
 	tr := s.tr
-	acceptRefinements := 0
+	refinements, acceptRefinements := 0, 0
 	for {
-		// Round boundary: the encoding is a pure function of
-		// (n, segments, anchored, blocked), so this is the moment the
-		// search can be snapshotted and later resumed byte-identically.
-		// The hook runs before the round's solver call is counted, so
-		// resumed counters line up.
-		if s.opts.Checkpoint != nil {
-			err := s.opts.Checkpoint(&CheckpointState{
-				N:            n,
-				Refinements:  refinements,
-				AcceptWindow: s.acceptWindow,
-				Blocked:      copyInts(s.blocked),
-				Segments:     copyInts(s.segments),
-				Anchored:     append([]bool(nil), s.anchored...),
-				Stats:        s.stats,
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
 		if s.opts.Context != nil {
 			if err := s.opts.Context.Err(); err != nil {
 				return nil, fmt.Errorf("learn: %w", err)

@@ -1,6 +1,6 @@
 // Atomic artifact writes: every file the pipeline or its commands
 // produce (manifests, saved models, DOT renderings, NDJSON traces,
-// checkpoints, generated traces) goes through the temp-file + fsync +
+// run records, generated traces) goes through the temp-file + fsync +
 // rename pattern below, so a crash mid-write can never leave a torn
 // file that passes for a real artifact at the destination path. Either
 // the old content (or absence) survives intact, or the complete new

@@ -366,8 +366,8 @@ func (t *Tracer) End(id SpanID, attrs ...Attr) {
 }
 
 // Event records a point event under a span (0 for a top-level event).
-// Events are never sampled: they are rare (compliance, checkpoint,
-// acceptance) and carry decisions, not volume.
+// Events are never sampled: they are rare (compliance, acceptance)
+// and carry decisions, not volume.
 func (t *Tracer) Event(parent SpanID, name string, attrs ...Attr) {
 	if t == nil {
 		return

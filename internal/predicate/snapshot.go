@@ -1,11 +1,12 @@
-// Generator checkpointing: Snapshot captures the complete mutable
-// state of a Generator — the observation interner, the window memo,
-// the interned predicate alphabet, the per-variable seed pools and the
+// Generator snapshots: Snapshot captures the complete mutable state of
+// a Generator — the observation interner, the window memo, the
+// interned predicate alphabet, the per-variable seed pools and the
 // work counters — in a serialisable, deterministic form, and Restore
 // rebuilds an identical generator from it. A restored generator
-// continues a streaming run bit-for-bit: ids, memo keys, seed order
-// and therefore every subsequently synthesised predicate match the
-// uninterrupted run (see internal/checkpoint and DESIGN.md note 14).
+// abstracts every window it has seen to the same predicate as the
+// original: ids, memo keys and seed order all match. Saved models
+// carry a snapshot as their genstate line (see core/persist.go and
+// DESIGN.md note 15).
 package predicate
 
 import (
@@ -60,8 +61,8 @@ type SeedEntry struct {
 }
 
 // Snapshot captures the generator's state. It must not run
-// concurrently with a Sequence/SequenceSource call (checkpoints are
-// taken at quiescent epoch boundaries).
+// concurrently with a Sequence/SequenceSource call (saved models take
+// it after learning).
 func (g *Generator) Snapshot() *SnapshotState {
 	g.mu.Lock()
 	defer g.mu.Unlock()

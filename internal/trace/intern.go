@@ -94,13 +94,13 @@ func (in *Interner) Len() int {
 }
 
 // Canon returns the canonical observations in id order (ObsID i maps
-// to the i-th element). Checkpointing serialises exactly this list:
-// because ids are assigned in first-sight order, and the first sight
-// of every value happens inside the first sight of some observation,
-// re-interning the list in order on an empty Interner reproduces both
-// the observation and the value tables bit-for-bit. The returned
-// slice is fresh; its observations are the shared read-only canonical
-// copies.
+// to the i-th element). Generator snapshots serialise exactly this
+// list: because ids are assigned in first-sight order, and the first
+// sight of every value happens inside the first sight of some
+// observation, re-interning the list in order on an empty Interner
+// reproduces both the observation and the value tables bit-for-bit.
+// The returned slice is fresh; its observations are the shared
+// read-only canonical copies.
 func (in *Interner) Canon() []Observation {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -157,8 +157,8 @@ func MakeWindowKey(ids []ObsID) WindowKey {
 
 // IDs returns the interned ids the key was built from, in position
 // order, decoding whichever representation the key uses. It is the
-// inverse of MakeWindowKey (checkpoints serialise memo keys through
-// it): MakeWindowKey(k.IDs()) == k.
+// inverse of MakeWindowKey (generator snapshots serialise memo keys
+// through it): MakeWindowKey(k.IDs()) == k.
 func (k WindowKey) IDs() []ObsID {
 	if k.s != "" {
 		ids := make([]ObsID, len(k.s)/4)

@@ -30,11 +30,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"repro/internal/automaton"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/learn"
 	"repro/internal/live"
@@ -165,71 +163,9 @@ type LearnOptions struct {
 	// Context cancels the run at safe boundaries (between
 	// observations during streaming ingestion, inside predicate
 	// synthesis, between solver rounds during model construction).
-	// Cancellation surfaces as an "interrupted at stage X" error; with
-	// checkpointing enabled, the last checkpoint remains valid and
-	// resumable. Nil means never cancelled.
+	// Cancellation surfaces as an "interrupted at stage X" error. Nil
+	// means never cancelled.
 	Context context.Context
-	// CheckpointDir enables periodic crash-consistent checkpoints of
-	// streaming runs (LearnSource only): snapshots of the interner,
-	// memo, predicate-run log and model-search state land in this
-	// directory, written atomically with a versioned, hash-chained
-	// format (see internal/checkpoint). Empty disables checkpointing.
-	CheckpointDir string
-	// CheckpointEvery is the ingest checkpoint interval in
-	// observations. Zero means 100000.
-	CheckpointEvery int
-	// Resume continues from the newest valid checkpoint in
-	// CheckpointDir instead of starting fresh. The input source must
-	// replay the same observations the checkpointed run consumed
-	// (verified by a running digest); the resumed run's model is
-	// byte-identical to an uninterrupted one. Errors if CheckpointDir
-	// holds no valid checkpoint.
-	Resume bool
-	// CheckpointInput optionally ties the checkpoint chain to the
-	// input file's digest (the one run manifests record).
-	CheckpointInput *pipeline.InputDigest
-}
-
-// checkpointParams renders the model-affecting options into the
-// parameter map checkpoints record and resume verifies — resuming
-// under different windows or state bounds would silently learn a
-// different model, so it is refused instead.
-func checkpointParams(opts LearnOptions) map[string]string {
-	return map[string]string{
-		"pw":           strconv.Itoa(opts.PredicateWindow),
-		"w":            strconv.Itoa(opts.SegmentWindow),
-		"l":            strconv.Itoa(opts.ComplianceLen),
-		"start_states": strconv.Itoa(opts.StartStates),
-		"max_states":   strconv.Itoa(opts.MaxStates),
-		"segmented":    strconv.FormatBool(!opts.NonSegmented),
-		"symmetry":     strconv.FormatBool(!opts.NoSymmetryBreaking),
-	}
-}
-
-// CheckpointInfo describes the newest valid checkpoint in a directory
-// (see InspectCheckpoint).
-type CheckpointInfo struct {
-	Path      string
-	Seq       int
-	Phase     string // "ingest" or "model"
-	Offset    int64  // observations consumed
-	CreatedAt time.Time
-}
-
-// InspectCheckpoint loads and verifies the newest valid checkpoint in
-// dir and reports where a resumed run would continue from.
-func InspectCheckpoint(dir string) (*CheckpointInfo, error) {
-	lr, err := checkpoint.Load(dir)
-	if err != nil {
-		return nil, err
-	}
-	return &CheckpointInfo{
-		Path:      lr.Path,
-		Seq:       lr.State.Seq,
-		Phase:     lr.State.Phase,
-		Offset:    lr.State.Offset,
-		CreatedAt: lr.State.CreatedAt,
-	}, nil
 }
 
 // Model is a learned model: the automaton, its predicate alphabet, the
@@ -298,25 +234,6 @@ func NewPipeline(schema *Schema, opts LearnOptions) (*Pipeline, error) {
 	if schema == nil {
 		return nil, errors.New("repro: nil schema")
 	}
-	var ckpt checkpoint.Config
-	if opts.CheckpointDir != "" {
-		ckpt = checkpoint.Config{
-			Dir:    opts.CheckpointDir,
-			Every:  opts.CheckpointEvery,
-			Tool:   "repro",
-			Input:  opts.CheckpointInput,
-			Params: checkpointParams(opts),
-		}
-		if opts.Resume {
-			lr, err := checkpoint.Load(opts.CheckpointDir)
-			if err != nil {
-				return nil, err
-			}
-			ckpt.From = lr
-		}
-	} else if opts.Resume {
-		return nil, errors.New("repro: Resume requires CheckpointDir")
-	}
 	return core.NewPipeline(schema, core.Options{
 		Predicate: predicate.Options{
 			Window: opts.PredicateWindow,
@@ -331,9 +248,8 @@ func NewPipeline(schema *Schema, opts LearnOptions) (*Pipeline, error) {
 			Timeout:            opts.Timeout,
 			NoSymmetryBreaking: opts.NoSymmetryBreaking,
 		},
-		Telemetry:  opts.Telemetry,
-		Context:    opts.Context,
-		Checkpoint: ckpt,
+		Telemetry: opts.Telemetry,
+		Context:   opts.Context,
 	})
 }
 

@@ -227,6 +227,25 @@ func TestTelemetrySamplingDifferential(t *testing.T) {
 	}
 }
 
+// cancelSource delivers the underlying stream faithfully and calls
+// cancel once, just before observation limit+1.
+type cancelSource struct {
+	src    repro.Source
+	limit  int
+	seen   int
+	cancel func()
+}
+
+func (c *cancelSource) Schema() *trace.Schema { return c.src.Schema() }
+
+func (c *cancelSource) Next() (trace.Observation, error) {
+	if c.seen == c.limit {
+		c.cancel()
+	}
+	c.seen++
+	return c.src.Next()
+}
+
 // TestTracerKillAndInspect pins the interrupted-run guarantee behind
 // t2m's SIGTERM cleanup: when the learn dies mid-stream (context
 // cancelled at an observation boundary), closing the tracer still
@@ -243,10 +262,8 @@ func TestTracerKillAndInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := &cutSource{src: src, limit: 10_000, after: func() error {
-		cancel() // the "SIGTERM": cancels the run mid-stream
-		return nil
-	}}
+	// The "SIGTERM": cancels the run mid-stream.
+	cut := &cancelSource{src: src, limit: 10_000, cancel: cancel}
 	_, err = repro.LearnSource(cut, repro.LearnOptions{
 		Context:   ctx,
 		Telemetry: &repro.Telemetry{Tracer: tr, Registry: repro.NewRegistry()},

@@ -7,15 +7,15 @@
 //
 // Usage:
 //
-//	monitor -model system.t2m -in trace.csv [-informat csv|events|ftrace]
-//	        [-task comm-pid] [-stream] [-q] [-metrics-addr HOST:PORT]
+//	monitor -model system.t2m -in trace.csv [-informat csv|events|ftrace|vcd]
+//	        [-task comm-pid] [-q] [-metrics-addr HOST:PORT]
 //
-// With -stream the trace is checked as it is decoded, in memory
-// bounded by the window size — the mode to use when following a long
-// or live trace (e.g. monitor -stream -in -). While checking,
-// -metrics-addr serves live counters at /metrics and /metrics.json
-// plus profiling at /debug/pprof/ — useful when the monitored trace
-// runs for hours.
+// The trace is checked as it is decoded, in memory bounded by the
+// window size, so a long or live trace (e.g. monitor -in -) never has
+// to fit in memory. A VCD trace is sampled on the signals the model
+// was learned from. While checking, -metrics-addr serves live counters
+// at /metrics and /metrics.json plus profiling at /debug/pprof/ —
+// useful when the monitored trace runs for hours.
 //
 // With -active the trace is not read from a file: the named simulated
 // system (see internal/systems) is driven live along its canonical
@@ -48,13 +48,13 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro"
 	"repro/internal/active"
+	"repro/internal/pipeline"
 	"repro/internal/runlog"
 	"repro/internal/systems"
 	"repro/internal/trace"
@@ -63,13 +63,13 @@ import (
 // usage is the synopsis printed by -h. TestUsageNamesEveryFlag asserts
 // it names every registered flag, so it cannot drift the way the old
 // hand-maintained synopsis did.
-const usage = `usage: monitor -model system.t2m -in trace.csv [-informat csv|events|ftrace]
-               [-task comm-pid] [-stream] [-q] [-metrics-addr HOST:PORT]
+const usage = `usage: monitor -model system.t2m -in trace.csv [-informat csv|events|ftrace|vcd]
+               [-task comm-pid] [-q] [-metrics-addr HOST:PORT]
                [-stall-after D] [-run-log DIR]
        monitor -model system.t2m -active -system counter|fifo|serial|usbslot
                [-probe N] [-seed N] [-q] [-metrics-addr HOST:PORT]
                [-stall-after D] [-run-log DIR]
-       monitor -live -in trace.csv [-informat csv|events|ftrace] [-task comm-pid]
+       monitor -live -in trace.csv [-informat csv|events|ftrace|vcd] [-task comm-pid]
                [-reminimize-every K] [-max-versions N] [-idle-exit D]
                [-save model.t2m] [-q] [-metrics-addr HOST:PORT] [-stall-after D]
                [-run-log DIR]
@@ -79,7 +79,7 @@ const usage = `usage: monitor -model system.t2m -in trace.csv [-informat csv|eve
 // options carries every flag of one monitor invocation.
 type options struct {
 	modelPath, in, informat, task string
-	stream, quiet                 bool
+	quiet                         bool
 	metricsAddr                   string
 	active                        bool
 	system                        string
@@ -100,9 +100,8 @@ func declareFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.modelPath, "model", "", "model file written by t2m -save (required)")
 	fs.StringVar(&o.in, "in", "", "trace file to check (required; - for stdin)")
-	fs.StringVar(&o.informat, "informat", "", "input format: csv, events, ftrace (default by extension)")
+	fs.StringVar(&o.informat, "informat", "", "input format: csv, events, ftrace, vcd (default by extension)")
 	fs.StringVar(&o.task, "task", "", "ftrace: task to analyse (comm-pid)")
-	fs.BoolVar(&o.stream, "stream", false, "check the trace as it streams: bounded memory, same verdict")
 	fs.BoolVar(&o.quiet, "q", false, "suppress the conforming-trace message")
 	fs.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /metrics.json and /debug/pprof/ on this address while checking")
 	fs.BoolVar(&o.active, "active", false, "probe a live simulated system instead of reading a trace file")
@@ -184,38 +183,20 @@ func run(o *options) (int, error) {
 		model.SetTelemetry(tel)
 	}
 
-	var violation *repro.Violation
-	if o.stream {
-		src, closer, err := openSource(o.in, o.informat, o.task)
-		if err != nil {
-			return 2, err
+	src, release, err := trace.Open(o.in, o.informat, o.task, model.Schema().Names(), nil)
+	if err != nil {
+		return 2, err
+	}
+	violation, err := model.CheckSource(src)
+	release()
+	if err != nil {
+		return 2, err
+	}
+	if violation == nil {
+		if !o.quiet {
+			fmt.Println("ok: model explains the whole trace")
 		}
-		violation, err = model.CheckSource(src)
-		closer()
-		if err != nil {
-			return 2, err
-		}
-		if violation == nil {
-			if !o.quiet {
-				fmt.Println("ok: model explains the whole trace")
-			}
-			return 0, writeRunRecord(o, tel, runlog.VerdictOK, time.Since(start), nil)
-		}
-	} else {
-		tr, err := readTrace(o.in, o.informat, o.task)
-		if err != nil {
-			return 2, err
-		}
-		violation, err = model.Check(tr)
-		if err != nil {
-			return 2, err
-		}
-		if violation == nil {
-			if !o.quiet {
-				fmt.Printf("ok: model explains all %d observations\n", tr.Len())
-			}
-			return 0, writeRunRecord(o, tel, runlog.VerdictOK, time.Since(start), nil)
-		}
+		return 0, writeRunRecord(o, tel, runlog.VerdictOK, time.Since(start), nil)
 	}
 	tel.Count("monitor_divergences_total").Add(1)
 	fmt.Println(violation)
@@ -273,7 +254,6 @@ func writeRunRecord(o *options, tel *repro.Telemetry, verdict string, elapsed ti
 		Config: map[string]any{
 			"informat": o.informat,
 			"task":     o.task,
-			"stream":   o.stream,
 			"active":   o.active,
 			"system":   o.system,
 			"probe":    o.probe,
@@ -374,11 +354,11 @@ func runLive(o *options) (int, error) {
 		defer srv.Close()
 	}
 
-	src, closer, err := openLiveSource(o, ctx)
+	src, release, err := trace.Open(o.in, o.informat, o.task, nil, &trace.FollowOptions{IdleExit: o.idleExit, Context: ctx})
 	if err != nil {
 		return 2, err
 	}
-	defer closer()
+	defer release()
 
 	p, err := repro.NewPipeline(src.Schema(), repro.LearnOptions{Telemetry: tel, Context: ctx})
 	if err != nil {
@@ -426,15 +406,10 @@ func runLive(o *options) (int, error) {
 		if err != nil {
 			return 2, err
 		}
-		f, err := os.Create(o.savePath)
+		err = pipeline.AtomicWriteFile(o.savePath, func(w io.Writer) error {
+			return repro.SaveModel(w, model)
+		})
 		if err != nil {
-			return 2, err
-		}
-		if err := repro.SaveModel(f, model); err != nil {
-			f.Close()
-			return 2, err
-		}
-		if err := f.Close(); err != nil {
 			return 2, err
 		}
 	}
@@ -450,106 +425,4 @@ func runLive(o *options) (int, error) {
 		verdict, code = runlog.VerdictDivergence, 1
 	}
 	return code, writeRunRecord(o, tel, verdict, time.Since(start), extra)
-}
-
-// openLiveSource opens the input for -live: a plain file handle (or
-// stdin) behind a FollowReader, so the decoder sees an endless stream
-// of whole lines that grows with the file. No mmap here — the file is
-// still being written.
-func openLiveSource(o *options, ctx context.Context) (repro.Source, func(), error) {
-	var r io.Reader = os.Stdin
-	closer := func() {}
-	if o.in != "-" {
-		f, err := os.Open(o.in)
-		if err != nil {
-			return nil, nil, err
-		}
-		closer = func() { f.Close() }
-		r = f
-	}
-	fr := repro.NewFollowReader(r, repro.FollowOptions{IdleExit: o.idleExit, Context: ctx})
-	switch resolveFormat(o.in, o.informat) {
-	case "csv":
-		src, err := repro.NewCSVSource(fr)
-		if err != nil {
-			closer()
-			return nil, nil, err
-		}
-		return src, closer, nil
-	case "events":
-		return repro.NewEventsSource(fr), closer, nil
-	case "ftrace":
-		return repro.NewFtraceSource(fr, o.task, nil), closer, nil
-	default:
-		closer()
-		return nil, nil, fmt.Errorf("unknown input format %q", o.informat)
-	}
-}
-
-// openSource opens the input as a streaming source for -stream mode.
-func openSource(in, informat, task string) (repro.Source, func(), error) {
-	var f io.Reader = os.Stdin
-	closer := func() {}
-	if in != "-" {
-		// OpenBytes mmaps the file when the platform allows, so the
-		// line decoders run zero-copy over the page cache.
-		b, err := trace.OpenBytes(in)
-		if err != nil {
-			return nil, nil, err
-		}
-		closer = func() { b.Close() }
-		f = b
-	}
-	switch resolveFormat(in, informat) {
-	case "csv":
-		src, err := repro.NewCSVSource(f)
-		if err != nil {
-			closer()
-			return nil, nil, err
-		}
-		return src, closer, nil
-	case "events":
-		return repro.NewEventsSource(f), closer, nil
-	case "ftrace":
-		return repro.NewFtraceSource(f, task, nil), closer, nil
-	default:
-		closer()
-		return nil, nil, fmt.Errorf("unknown input format %q", informat)
-	}
-}
-
-func resolveFormat(in, informat string) string {
-	if informat != "" {
-		return informat
-	}
-	switch filepath.Ext(in) {
-	case ".csv":
-		return "csv"
-	case ".ftrace", ".trace":
-		return "ftrace"
-	default:
-		return "events"
-	}
-}
-
-func readTrace(in, informat, task string) (*trace.Trace, error) {
-	var f io.Reader = os.Stdin
-	if in != "-" {
-		b, err := trace.OpenBytes(in)
-		if err != nil {
-			return nil, err
-		}
-		defer b.Close()
-		f = b
-	}
-	switch resolveFormat(in, informat) {
-	case "csv":
-		return trace.ReadCSV(f)
-	case "events":
-		return trace.ReadEvents(f)
-	case "ftrace":
-		return trace.Collect(trace.NewFtraceSource(f, task, nil))
-	default:
-		return nil, fmt.Errorf("unknown input format %q", informat)
-	}
 }

@@ -241,7 +241,11 @@ func runFigure(fig, dotDir string) error {
 			return err
 		}
 		path := filepath.Join(dotDir, fig+".dot")
-		if err := os.WriteFile(path, []byte(m.Automaton.DOT(c.Name)), 0o644); err != nil {
+		err := pipeline.AtomicWriteFile(path, func(w io.Writer) error {
+			_, werr := io.WriteString(w, m.Automaton.DOT(c.Name))
+			return werr
+		})
+		if err != nil {
 			return err
 		}
 		fmt.Printf("DOT written to %s\n", path)

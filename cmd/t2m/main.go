@@ -14,16 +14,15 @@
 //	events  one event name per line
 //	ftrace  ftrace text log; use -task to select the thread under
 //	        analysis
+//	vcd     value change dump; use -signals to select the signals
+//
+// The trace is never materialised: the decoder feeds a sliding window
+// directly into predicate synthesis and the learner consumes the
+// run-length-encoded predicate stream, so memory stays bounded by the
+// number of distinct windows regardless of trace length.
 //
 // Output is a summary plus the learned automaton, as text or Graphviz
 // DOT (-dot FILE).
-//
-// With -stream the trace file is never materialised: the decoder feeds
-// a sliding window directly into predicate synthesis and the learner
-// consumes the run-length-encoded predicate stream, so memory stays
-// bounded by the number of distinct windows regardless of trace
-// length. The learned automaton is byte-identical to the in-memory
-// path.
 package main
 
 import (
@@ -50,7 +49,7 @@ type config struct {
 	dotOut, saveOut             string
 	predW, segW, compliL        int
 	maxStates                   int
-	noSeg, stream, quiet        bool
+	noSeg, quiet                bool
 	timeout                     time.Duration
 
 	// Observability (see README "Observability" and "Run analytics").
@@ -77,7 +76,6 @@ func main() {
 	flag.IntVar(&cfg.maxStates, "max-states", 0, "state-count cap (0 = 64)")
 	flag.BoolVar(&cfg.noSeg, "no-segmentation", false, "disable segmentation (full-trace mode)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "search timeout (0 = none)")
-	flag.BoolVar(&cfg.stream, "stream", false, "stream the trace: bounded memory, identical model")
 	flag.BoolVar(&cfg.quiet, "q", false, "print only the automaton")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "write the run's span/event trace as NDJSON to this file (high-cardinality span kinds are sampled; see -trace-full)")
 	flag.BoolVar(&cfg.traceFull, "trace-full", false, "emit every span unsampled (trace file grows with trace length)")
@@ -190,7 +188,7 @@ func run(cfg config) (err error) {
 	var input *pipeline.InputDigest
 	if cfg.in != "-" && (cfg.manifestOut != "" || store != nil) {
 		d := repro.FileDigest(cfg.in)
-		d.Format = detectFormat(cfg.in, cfg.informat)
+		d.Format = trace.FormatOf(cfg.in, cfg.informat)
 		input = &d
 	}
 
@@ -205,11 +203,7 @@ func run(cfg config) (err error) {
 		Context:         ctx,
 	}
 
-	var (
-		model   *repro.Model
-		obsSeen int64
-		nVars   int
-	)
+	var model *repro.Model
 	start := time.Now()
 	// The run record is written on every exit path — success, error or
 	// interrupt — so the archive keeps the residue of failed runs too.
@@ -228,38 +222,29 @@ func run(cfg config) (err error) {
 			err = werr
 		}
 	}()
-	if cfg.stream {
-		src, closer, err := openSource(cfg.in, cfg.informat, cfg.task, cfg.signals)
-		if err != nil {
-			return err
-		}
-		nVars = src.Schema().Len()
-		model, err = repro.LearnSource(src, opts)
-		closer()
-		if err != nil {
-			return err
-		}
+	var signals []string
+	if cfg.signals != "" {
+		signals = strings.Split(cfg.signals, ",")
+	}
+	src, release, err := trace.Open(cfg.in, cfg.informat, cfg.task, signals, nil)
+	if err != nil {
+		return err
+	}
+	model, err = repro.LearnSource(src, opts)
+	release()
+	if err != nil {
+		return err
+	}
+	elapsed := time.Since(start)
+
+	if !cfg.quiet {
+		var obsSeen int64
 		for _, st := range model.Stages {
 			if st.Name == "predicate" {
 				obsSeen = st.Counter("observations")
 			}
 		}
-	} else {
-		tr, err := readTrace(cfg.in, cfg.informat, cfg.task, cfg.signals)
-		if err != nil {
-			return err
-		}
-		nVars = tr.Schema().Len()
-		obsSeen = int64(tr.Len())
-		model, err = repro.Learn(tr, opts)
-		if err != nil {
-			return err
-		}
-	}
-	elapsed := time.Since(start)
-
-	if !cfg.quiet {
-		fmt.Printf("trace: %d observations over %d variables\n", obsSeen, nVars)
+		fmt.Printf("trace: %d observations over %d variables\n", obsSeen, src.Schema().Len())
 		fmt.Printf("predicate alphabet: %d symbols\n", len(model.Alphabet))
 		fmt.Printf("segments: %d, solver calls: %d, refinements: %d+%d\n",
 			model.LearnStats.Segments, model.LearnStats.SolverCalls,
@@ -333,13 +318,12 @@ func writeManifest(cfg config, model *repro.Model, tel *repro.Telemetry, input *
 // runlog groups re-runs of the same workload by this map.
 func configMap(cfg config) map[string]any {
 	return map[string]any{
-		"informat":        detectFormat(cfg.in, cfg.informat),
+		"informat":        trace.FormatOf(cfg.in, cfg.informat),
 		"pw":              cfg.predW,
 		"w":               cfg.segW,
 		"l":               cfg.compliL,
 		"max_states":      cfg.maxStates,
 		"no_segmentation": cfg.noSeg,
-		"stream":          cfg.stream,
 		"timeout":         cfg.timeout.String(),
 	}
 }
@@ -370,97 +354,4 @@ func writeRunRecord(store *runlog.Store, cfg config, model *repro.Model, tel *re
 	}
 	_, err := store.Put(rec)
 	return err
-}
-
-func readTrace(in, informat, task, signals string) (*trace.Trace, error) {
-	var f io.Reader = os.Stdin
-	if in != "-" {
-		// OpenBytes mmaps the file when the platform allows, so the
-		// line decoders run zero-copy over the page cache.
-		b, err := trace.OpenBytes(in)
-		if err != nil {
-			return nil, err
-		}
-		defer b.Close()
-		f = b
-	}
-	switch detectFormat(in, informat) {
-	case "csv":
-		return trace.ReadCSV(f)
-	case "events":
-		return trace.ReadEvents(f)
-	case "ftrace":
-		return trace.Collect(trace.NewFtraceSource(f, task, nil))
-	case "vcd":
-		var names []string
-		if signals != "" {
-			names = strings.Split(signals, ",")
-		}
-		return trace.ReadVCD(f, names)
-	default:
-		return nil, fmt.Errorf("unknown input format %q", informat)
-	}
-}
-
-// detectFormat resolves the input format from the flag or the file
-// extension.
-func detectFormat(in, informat string) string {
-	if informat != "" {
-		return informat
-	}
-	switch filepath.Ext(in) {
-	case ".csv":
-		return "csv"
-	case ".ftrace", ".trace":
-		return "ftrace"
-	case ".vcd":
-		return "vcd"
-	default:
-		return "events"
-	}
-}
-
-// openSource opens the input as a streaming trace source. The returned
-// closer releases the underlying file (a no-op for stdin).
-func openSource(in, informat, task, signals string) (repro.Source, func(), error) {
-	var f io.Reader = os.Stdin
-	closer := func() {}
-	if in != "-" {
-		// OpenBytes mmaps the file when the platform allows: the CSV,
-		// events and ftrace sources then decode zero-copy straight out
-		// of the page cache.
-		b, err := trace.OpenBytes(in)
-		if err != nil {
-			return nil, nil, err
-		}
-		closer = func() { b.Close() }
-		f = b
-	}
-	switch detectFormat(in, informat) {
-	case "csv":
-		src, err := repro.NewCSVSource(f)
-		if err != nil {
-			closer()
-			return nil, nil, err
-		}
-		return src, closer, nil
-	case "events":
-		return repro.NewEventsSource(f), closer, nil
-	case "ftrace":
-		return repro.NewFtraceSource(f, task, nil), closer, nil
-	case "vcd":
-		var names []string
-		if signals != "" {
-			names = strings.Split(signals, ",")
-		}
-		src, err := repro.NewVCDSource(f, names)
-		if err != nil {
-			closer()
-			return nil, nil, err
-		}
-		return src, closer, nil
-	default:
-		closer()
-		return nil, nil, fmt.Errorf("unknown input format %q", informat)
-	}
 }

@@ -7,18 +7,17 @@
 // Usage:
 //
 //	tracegen -system usbslot|usbattach|counter|serial|rtlinux|integrator|fifo
-//	         [-o FILE] [-n LENGTH] [-steps N] [-seed N] [-format csv|events|ftrace]
+//	         [-o FILE] [-n LENGTH] [-seed N] [-format csv|events|ftrace]
 //
 // With no -o the trace is written to stdout.
 //
-// For ingestion benchmarks and long workloads, -steps streams a trace
-// of any length straight to the output without building it in memory:
-// -system counter or serial -steps N emits an N-observation CSV by
-// driving the system's workload schedule, and -system fifo -steps N
-// emits an N-cycle FIFO-occupancy VCD. Streaming and batch modes agree
-// byte for byte: for the same -system and -seed, -steps N output is a
-// prefix of (or, at matching lengths, identical to) the batch output —
-// pinned by this package's golden test.
+// Counter, serial and fifo traces are streamed straight to the output
+// without being built in memory, so -n can ask for any length:
+// -system counter or serial -n N emits an N-observation CSV by driving
+// the system's workload schedule, and -system fifo -n N emits an
+// N-cycle FIFO-occupancy VCD. The schedule is the one the library's
+// batch generators replay, so the bytes equal theirs at the same
+// length and seed — pinned by this package's golden test.
 //
 // -seed selects the workload schedule seed for the randomised systems
 // (serial, rtlinux); 0 keeps each system's default, so existing
@@ -35,16 +34,17 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/pipeline"
 	"repro/internal/runlog"
+	"repro/internal/systems/counter"
 	"repro/internal/systems/rtlinux"
 	"repro/internal/systems/serial"
 	"repro/internal/trace"
 )
 
 // usage is the synopsis printed by -h. TestUsageNamesEveryFlag asserts
-// it names every registered flag, so it cannot drift the way the old
-// hand-maintained synopsis did (which was missing -steps).
+// it names every registered flag, so it cannot drift the way a
+// hand-maintained synopsis can.
 const usage = `usage: tracegen -system usbslot|usbattach|counter|serial|rtlinux|integrator|fifo
-                [-o FILE] [-n LENGTH] [-steps N] [-seed N] [-format csv|events|ftrace]
+                [-o FILE] [-n LENGTH] [-seed N] [-format csv|events|ftrace]
                 [-run-log DIR]
 
 `
@@ -52,7 +52,7 @@ const usage = `usage: tracegen -system usbslot|usbattach|counter|serial|rtlinux|
 // options carries every flag of one tracegen invocation.
 type options struct {
 	system, out, format string
-	length, steps       int
+	length              int
 	seed                int64
 	runLog              string
 }
@@ -63,10 +63,9 @@ func declareFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.system, "system", "", "benchmark system: usbslot, usbattach, counter, serial, rtlinux, integrator, fifo")
 	fs.StringVar(&o.out, "o", "", "output file (default stdout)")
-	fs.IntVar(&o.length, "n", 0, "override trace length (0 = paper default; supported for counter, serial, rtlinux, integrator)")
+	fs.IntVar(&o.length, "n", 0, "trace length in observations (fifo: cycles; 0 = paper default; usbslot and usbattach only truncate)")
 	fs.StringVar(&o.format, "format", "", "output format: csv, events, ftrace (default by schema)")
-	fs.IntVar(&o.steps, "steps", 0, "stream this many observations directly to the output (counter/serial: CSV, fifo: VCD); any length, O(1) memory")
-	fs.Int64Var(&o.seed, "seed", 0, "workload schedule seed for the randomised systems (0 = each system's default); identical in batch and -steps modes")
+	fs.Int64Var(&o.seed, "seed", 0, "workload schedule seed for the randomised systems (0 = each system's default)")
 	fs.StringVar(&o.runLog, "run-log", "", "append this generation's record (config, output digest, wall time) to the run archive at this directory (see cmd/runstats)")
 	return o
 }
@@ -109,7 +108,6 @@ func writeRunRecord(o *options, elapsed time.Duration) error {
 			"system": o.system,
 			"format": o.format,
 			"n":      o.length,
-			"steps":  o.steps,
 			"seed":   o.seed,
 		},
 		WallMS:  float64(elapsed.Microseconds()) / 1e3,
@@ -123,30 +121,30 @@ func writeRunRecord(o *options, elapsed time.Duration) error {
 }
 
 func run(o *options) error {
-	system, out, length, format, steps := o.system, o.out, o.length, o.format, o.steps
-	if steps > 0 || system == "fifo" {
-		return runStream(system, out, format, steps, o.seed)
-	}
+	system, out, length, format := o.system, o.out, o.length, o.format
 	var (
 		tr  *trace.Trace
 		err error
 	)
 	switch system {
+	case "counter":
+		return streamCSV(o, counter.DefaultConfig().Observations)
+	case "serial":
+		return streamCSV(o, serial.DefaultWorkload().Observations)
+	case "fifo":
+		if format != "" && format != "vcd" {
+			return fmt.Errorf("-system fifo emits vcd only")
+		}
+		if length <= 0 {
+			length = 10000
+		}
+		return writeOut(out, func(w io.Writer) error {
+			return experiments.StreamFIFOVCD(w, length, 4)
+		})
 	case "usbslot":
 		tr, err = experiments.GenUSBSlot()
 	case "usbattach":
 		tr, err = experiments.GenUSBAttach()
-	case "counter":
-		tr, err = experiments.GenCounter()
-	case "serial":
-		w := serial.DefaultWorkload()
-		if length > 0 {
-			w.Observations = length
-		}
-		if o.seed != 0 {
-			w.Seed = o.seed
-		}
-		tr, err = w.Run()
 	case "rtlinux":
 		cfg := rtlinux.DefaultConfig()
 		if length > 0 {
@@ -203,32 +201,19 @@ func run(o *options) error {
 	}
 }
 
-// runStream handles the direct-to-writer generators selected by
-// -steps: traces of any length in O(1) memory. The CSV systems drive
-// the same workload schedules the batch generators replay, so for a
-// given -seed the streamed bytes are a prefix of the batch output.
-func runStream(system, out, format string, steps int, seed int64) error {
-	if steps <= 0 {
-		steps = 10000
+// streamCSV writes the system's workload schedule as a CSV of -n
+// observations (def when -n is unset), one observation at a time.
+func streamCSV(o *options, def int) error {
+	if o.format != "" && o.format != "csv" {
+		return fmt.Errorf("-system %s emits csv only", o.system)
 	}
-	switch system {
-	case "counter", "serial":
-		if format != "" && format != "csv" {
-			return fmt.Errorf("-steps with -system %s emits csv only", system)
-		}
-		return writeOut(out, func(w io.Writer) error {
-			return experiments.StreamScheduleCSV(w, system, seed, steps)
-		})
-	case "fifo":
-		if format != "" && format != "vcd" {
-			return fmt.Errorf("-system fifo emits vcd only")
-		}
-		return writeOut(out, func(w io.Writer) error {
-			return experiments.StreamFIFOVCD(w, steps, 4)
-		})
-	default:
-		return fmt.Errorf("-steps supports -system counter, serial (csv) and fifo (vcd), not %q", system)
+	n := o.length
+	if n <= 0 {
+		n = def
 	}
+	return writeOut(o.out, func(w io.Writer) error {
+		return experiments.StreamScheduleCSV(w, o.system, o.seed, n)
+	})
 }
 
 // writeOut streams the generated trace to stdout or, for a file,

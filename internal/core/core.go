@@ -80,21 +80,6 @@ func (p *Pipeline) SetTelemetry(tel *pipeline.Telemetry) {
 	p.gen.SetTelemetry(tel, 0)
 }
 
-// startStage opens a stage trace span under the run span and points
-// the predicate generator's unit spans at it. Returns the span id (0
-// when tracing is off).
-func (p *Pipeline) startStage(run pipeline.SpanID, name string) pipeline.SpanID {
-	tr := p.opts.Telemetry.Trace()
-	if !tr.Enabled() {
-		return 0
-	}
-	id := tr.Start(run, name)
-	if name == "predicate" {
-		p.gen.SetTelemetry(p.opts.Telemetry, id)
-	}
-	return id
-}
-
 // Generator exposes the pipeline's predicate generator.
 func (p *Pipeline) Generator() *predicate.Generator { return p.gen }
 
@@ -118,6 +103,10 @@ type Model struct {
 
 	pipeline *Pipeline
 }
+
+// Schema returns the observed-variable declaration the model was
+// learned over; a checked trace must match it.
+func (m *Model) Schema() *trace.Schema { return m.pipeline.schema }
 
 // SetTelemetry attaches telemetry to the model's pipeline for the
 // monitoring path (Check/CheckSource on a loaded model).

@@ -71,7 +71,6 @@ func (p *Pipeline) LearnSources(srcs []trace.Source) (*Model, error) {
 // entry points); otherwise P stays nil and the predicate stage records
 // its run count instead.
 func (p *Pipeline) learn(srcs []trace.Source, expand bool) (*Model, error) {
-	var metrics pipeline.Metrics
 	tel := p.opts.Telemetry
 	ttr := tel.Trace()
 	run := ttr.Start(0, "run")
@@ -79,8 +78,10 @@ func (p *Pipeline) learn(srcs []trace.Source, expand bool) (*Model, error) {
 	before := p.gen.Stats()
 	hs := pipeline.StartHeapSampler(0)
 	defer hs.Stop()
-	sp := metrics.Start("predicate")
-	stage := p.startStage(run, "predicate")
+	stage := pipeline.StartStage(ttr, run, "predicate")
+	if stage.Span != 0 {
+		p.gen.SetTelemetry(tel, stage.Span)
+	}
 	wallStart := time.Now()
 
 	// Live gauges: heap from the sampler (its cached values stay
@@ -128,7 +129,7 @@ func (p *Pipeline) learn(srcs []trace.Source, expand bool) (*Model, error) {
 			if len(srcs) > 1 {
 				err = fmt.Errorf("source %d: %w", i, err)
 			}
-			ttr.End(stage)
+			ttr.End(stage.Span)
 			return nil, p.interrupted("predicate", err)
 		}
 	}
@@ -169,30 +170,30 @@ func (p *Pipeline) learn(srcs []trace.Source, expand bool) (*Model, error) {
 		counters = append(counters, pipeline.Counter{Name: "runs", Value: int64(runs)})
 	}
 	counters = append(counters, pipeline.Counter{Name: "peak_heap", Value: int64(hs.Stop())})
-	endStage(ttr, sp, stage, counters)
+	predRow := stage.End(counters...)
 
-	sp = metrics.Start("model")
+	stage = pipeline.StartStage(ttr, run, "model")
 	lo := p.opts.Learn
-	lo.TraceSpan = p.startStage(run, "model")
+	lo.TraceSpan = stage.Span
 	res, err := learn.GenerateModelSeqs(seqs, lo)
 	if err != nil {
-		ttr.End(lo.TraceSpan, pipeline.Bool("ok", false))
+		ttr.End(stage.Span, pipeline.Bool("ok", false))
 		if ierr := p.interrupted("model", err); ierr != err {
 			return nil, ierr
 		}
 		return nil, fmt.Errorf("core: model construction: %w", err)
 	}
 	s := res.Stats
-	endStage(ttr, sp, lo.TraceSpan, []pipeline.Counter{
-		{Name: "segments", Value: int64(s.Segments)},
-		{Name: "solver_calls", Value: int64(s.SolverCalls)},
-		{Name: "refinements", Value: int64(s.Refinements + s.AcceptRefinements)},
-		{Name: "sat_conflicts", Value: s.SATConflicts},
-		{Name: "sat_decisions", Value: s.SATDecisions},
-		{Name: "sat_propagations", Value: s.SATPropagations},
-		{Name: "sat_learned", Value: s.SATLearned},
-		{Name: "states", Value: int64(s.FinalStates)},
-	})
+	modelRow := stage.End(
+		pipeline.Counter{Name: "segments", Value: int64(s.Segments)},
+		pipeline.Counter{Name: "solver_calls", Value: int64(s.SolverCalls)},
+		pipeline.Counter{Name: "refinements", Value: int64(s.Refinements + s.AcceptRefinements)},
+		pipeline.Counter{Name: "sat_conflicts", Value: s.SATConflicts},
+		pipeline.Counter{Name: "sat_decisions", Value: s.SATDecisions},
+		pipeline.Counter{Name: "sat_propagations", Value: s.SATPropagations},
+		pipeline.Counter{Name: "sat_learned", Value: s.SATLearned},
+		pipeline.Counter{Name: "states", Value: int64(s.FinalStates)},
+	)
 	return &Model{
 		Automaton:      res.Automaton,
 		P:              P,
@@ -200,7 +201,7 @@ func (p *Pipeline) learn(srcs []trace.Source, expand bool) (*Model, error) {
 		States:         s.FinalStates,
 		PredicateStats: p.gen.Stats(),
 		LearnStats:     s,
-		Stages:         metrics.Stages(),
+		Stages:         []pipeline.StageMetrics{predRow, modelRow},
 		pipeline:       p,
 	}, nil
 }
@@ -212,18 +213,6 @@ func (p *Pipeline) interrupted(stage string, err error) error {
 		return fmt.Errorf("core: interrupted at stage %s: %w", stage, err)
 	}
 	return err
-}
-
-// endStage closes one stage on both telemetry channels from one counter
-// list: the stage-table row sp and the trace span id.
-func endStage(ttr *pipeline.Tracer, sp *pipeline.Span, id pipeline.SpanID, counters []pipeline.Counter) {
-	attrs := make([]pipeline.Attr, len(counters))
-	for i, c := range counters {
-		sp.Add(c.Name, c.Value)
-		attrs[i] = pipeline.Int(c.Name, c.Value)
-	}
-	sp.End()
-	ttr.End(id, attrs...)
 }
 
 // errCheckDone aborts the predicate stream once CheckSource has found

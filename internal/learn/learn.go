@@ -56,10 +56,6 @@ type Options struct {
 	// none. Exceeding it returns ErrTimeout (the paper's ">16 hours"
 	// entries).
 	Timeout time.Duration
-	// MaxRefinements caps the compliance refinements, and separately
-	// the acceptance refinements, made at one N (for Live, in one
-	// revision). Zero means 10000.
-	MaxRefinements int
 	// NoSymmetryBreaking disables the state-ordering symmetry break
 	// in the encoding (for the ablation benchmarks; the UNSAT
 	// escalation proofs are substantially slower without it).
@@ -96,9 +92,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxStates == 0 {
 		o.MaxStates = 64
-	}
-	if o.MaxRefinements == 0 {
-		o.MaxRefinements = 10000
 	}
 	return o
 }

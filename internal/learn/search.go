@@ -18,6 +18,10 @@ import (
 // search's state count: the model needs more states.
 var errNeedGrow = errors.New("learn: unsatisfiable at this state count")
 
+// maxRefinements caps the compliance refinements, and separately the
+// acceptance refinements, made at one N (for Live, in one revision).
+const maxRefinements = 10000
+
 // search is one model search over a set of RLE sequences: the segment
 // table the encoding is built from (base windows plus acceptance
 // windows, with anchor flags, in first-record order), the blocked
@@ -191,8 +195,8 @@ func (s *search) refine() (*automaton.NFA, error) {
 					pipeline.Int("n", int64(n)),
 					pipeline.Int("grams_blocked", int64(len(invalid))))
 			}
-			if refinements > s.opts.MaxRefinements {
-				return nil, fmt.Errorf("learn: more than %d refinements at N=%d", s.opts.MaxRefinements, n)
+			if refinements > maxRefinements {
+				return nil, fmt.Errorf("learn: more than %d refinements at N=%d", maxRefinements, n)
 			}
 			s.block(invalid)
 			if s.opts.scratchRefinement {
@@ -221,8 +225,8 @@ func (s *search) refine() (*automaton.NFA, error) {
 		}
 		acceptRefinements++
 		s.stats.AcceptRefinements++
-		if acceptRefinements > s.opts.MaxRefinements {
-			return nil, fmt.Errorf("learn: more than %d acceptance refinements at N=%d", s.opts.MaxRefinements, n)
+		if acceptRefinements > maxRefinements {
+			return nil, fmt.Errorf("learn: more than %d acceptance refinements at N=%d", maxRefinements, n)
 		}
 		var idx int
 		var added, anchorUp bool

@@ -90,13 +90,12 @@ func TestManifestWriteFile(t *testing.T) {
 }
 
 func TestStageManifests(t *testing.T) {
-	var m Metrics
-	m.Start("predicate").Add("windows", 10).Add("windows", 5).End()
-	rows := StageManifests(m.Stages())
+	row := StartStage(nil, 0, "predicate").End(Counter{Name: "windows", Value: 10}, Counter{Name: "windows", Value: 5})
+	rows := StageManifests([]StageMetrics{row})
 	if len(rows) != 1 || rows[0].Name != "predicate" {
 		t.Fatalf("rows = %+v", rows)
 	}
-	// Duplicate Add rows merge in the manifest form.
+	// Duplicate counters merge in the manifest form.
 	if rows[0].Counters["windows"] != 15 {
 		t.Errorf("windows = %d, want 15", rows[0].Counters["windows"])
 	}

@@ -8,7 +8,6 @@ package pipeline
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -41,28 +40,6 @@ func (s *StageMetrics) Counter(name string) int64 {
 	return 0
 }
 
-// Metrics collects the stages of one pipeline run. The zero value is
-// ready to use; methods are safe for concurrent use.
-type Metrics struct {
-	mu     sync.Mutex
-	stages []StageMetrics
-}
-
-// Start opens a span for one stage. End the span to record it.
-func (m *Metrics) Start(name string) *Span {
-	return &Span{m: m, name: name, wallStart: time.Now(), cpuStart: CPUTime()}
-}
-
-// Stages returns the recorded stages in completion order.
-func (m *Metrics) Stages() []StageMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]StageMetrics(nil), m.stages...)
-}
-
-// String renders the stages as an aligned table.
-func (m *Metrics) String() string { return Format(m.Stages()) }
-
 // Format renders stage metrics as an aligned table: one row per
 // stage, wall and CPU time, then the stage's counters.
 func Format(stages []StageMetrics) string {
@@ -78,54 +55,37 @@ func Format(stages []StageMetrics) string {
 	return b.String()
 }
 
-// Span measures one in-progress stage.
-type Span struct {
-	m         *Metrics
+// Stage is one pipeline stage in progress. StartStage opens it; End
+// records it once for both consumers: its counters become the trace
+// span's end attributes and the counters of the stage-table row it
+// returns.
+type Stage struct {
+	// Span is the stage's trace span (0 when tracing is off), the
+	// parent of the stage's unit spans.
+	Span SpanID
+
+	tr        *Tracer
 	name      string
 	wallStart time.Time
 	cpuStart  time.Duration
-	counters  []Counter
-	idx       map[string]int // counter name → counters index, for AddCounter merging
 }
 
-// Add attaches a named counter to the stage (insertion order is
-// preserved in the report). Repeated Adds of the same name append
-// duplicate rows; use AddCounter for increments.
-func (s *Span) Add(name string, v int64) *Span {
-	s.counters = append(s.counters, Counter{Name: name, Value: v})
-	return s
+// StartStage opens the named stage: a span under run on tr, and the
+// stage's wall and CPU clocks.
+func StartStage(tr *Tracer, run SpanID, name string) Stage {
+	return Stage{Span: tr.Start(run, name), tr: tr, name: name, wallStart: time.Now(), cpuStart: CPUTime()}
 }
 
-// AddCounter increments the named counter, merging by name: the first
-// call appends the counter (preserving insertion order), later calls
-// add into it, so per-item increments from the streaming path keep
-// Counters bounded by the number of distinct names.
-func (s *Span) AddCounter(name string, v int64) *Span {
-	if s.idx == nil {
-		s.idx = make(map[string]int, 8)
-		for i, c := range s.counters {
-			s.idx[c.Name] = i
+// End closes the stage with its counters, in report order, and returns
+// its stage-table row.
+func (s Stage) End(counters ...Counter) StageMetrics {
+	row := StageMetrics{Name: s.name, Wall: time.Since(s.wallStart), CPU: CPUTime() - s.cpuStart, Counters: counters}
+	if s.tr.Enabled() {
+		attrs := make([]Attr, len(counters))
+		for i, c := range counters {
+			attrs[i] = Int(c.Name, c.Value)
 		}
+		s.tr.End(s.Span, attrs...)
 	}
-	if i, ok := s.idx[name]; ok {
-		s.counters[i].Value += v
-		return s
-	}
-	s.idx[name] = len(s.counters)
-	s.counters = append(s.counters, Counter{Name: name, Value: v})
-	return s
-}
-
-// End closes the span and records the stage.
-func (s *Span) End() StageMetrics {
-	sm := StageMetrics{
-		Name:     s.name,
-		Wall:     time.Since(s.wallStart),
-		CPU:      CPUTime() - s.cpuStart,
-		Counters: s.counters,
-	}
-	s.m.mu.Lock()
-	s.m.stages = append(s.m.stages, sm)
-	s.m.mu.Unlock()
-	return sm
+	return row
 }

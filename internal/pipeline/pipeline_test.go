@@ -1,18 +1,30 @@
 package pipeline
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-func TestSpanRecordsStage(t *testing.T) {
-	var m Metrics
-	sp := m.Start("predicate")
+// TestStageRecordsRowAndSpan: End returns the stage-table row (name,
+// wall and CPU time, counters in order) and closes the stage's trace
+// span with the same counters as its end attributes.
+func TestStageRecordsRowAndSpan(t *testing.T) {
+	var out bytes.Buffer
+	tr := NewTracer(&out)
+	run := tr.Start(0, "run")
+	st := StartStage(tr, run, "predicate")
+	if st.Span == 0 {
+		t.Fatal("stage opened no trace span")
+	}
 	time.Sleep(2 * time.Millisecond)
-	sp.Add("windows", 10).Add("memo_hits", 7)
-	sm := sp.End()
+	sm := st.End(Counter{Name: "windows", Value: 10}, Counter{Name: "memo_hits", Value: 7})
+	tr.End(run)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	if sm.Name != "predicate" {
 		t.Fatalf("stage name = %q, want predicate", sm.Name)
@@ -32,38 +44,25 @@ func TestSpanRecordsStage(t *testing.T) {
 	if got := sm.Counter("missing"); got != 0 {
 		t.Errorf("missing counter = %d, want 0", got)
 	}
+	s := Format([]StageMetrics{sm})
+	if !strings.Contains(s, "predicate") || !strings.Contains(s, "windows=10") ||
+		strings.Index(s, "windows=10") > strings.Index(s, "memo_hits=7") {
+		t.Errorf("Format output missing fields or out of insertion order:\n%s", s)
+	}
 
-	stages := m.Stages()
-	if len(stages) != 1 || stages[0].Name != "predicate" {
-		t.Fatalf("Stages() = %+v, want one predicate stage", stages)
+	var end string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, `{"t":"end"`) && strings.Contains(line, fmt.Sprintf(`"id":%d,`, st.Span)) {
+			end = line
+		}
 	}
-}
+	if !strings.HasSuffix(end, `"attrs":{"windows":10,"memo_hits":7}}`) {
+		t.Errorf("stage span end = %q, want the counters as attributes", end)
+	}
 
-func TestFormatListsCountersInOrder(t *testing.T) {
-	var m Metrics
-	m.Start("model").Add("states", 3).Add("transitions", 5).End()
-	s := m.String()
-	if !strings.Contains(s, "model") || !strings.Contains(s, "states=3") || !strings.Contains(s, "transitions=5") {
-		t.Errorf("Format output missing fields:\n%s", s)
-	}
-	if strings.Index(s, "states=3") > strings.Index(s, "transitions=5") {
-		t.Errorf("counters out of insertion order:\n%s", s)
-	}
-}
-
-func TestMetricsConcurrentSpans(t *testing.T) {
-	var m Metrics
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m.Start("stage").Add("n", 1).End()
-		}()
-	}
-	wg.Wait()
-	if got := len(m.Stages()); got != 8 {
-		t.Fatalf("recorded %d stages, want 8", got)
+	// Without a tracer the stage still measures and returns its row.
+	if sm := StartStage(nil, 0, "model").End(Counter{Name: "states", Value: 3}); sm.Name != "model" || sm.Counter("states") != 3 {
+		t.Errorf("untraced stage row = %+v", sm)
 	}
 }
 
@@ -92,31 +91,6 @@ func TestFormatGolden(t *testing.T) {
 		"model        wall         2s  cpu         0s\n"
 	if got != want {
 		t.Errorf("Format output drifted:\ngot:\n%swant:\n%s", got, want)
-	}
-}
-
-func TestSpanAddCounterMergesByName(t *testing.T) {
-	var m Metrics
-	sp := m.Start("ingest")
-	sp.Add("runs", 1) // pre-existing appended counter is found by AddCounter
-	for i := 0; i < 1000; i++ {
-		sp.AddCounter("observations", 2)
-		sp.AddCounter("runs", 1)
-	}
-	sp.AddCounter("bytes", 64)
-	sm := sp.End()
-	if len(sm.Counters) != 3 {
-		t.Fatalf("got %d counters, want 3 (merged by name): %+v", len(sm.Counters), sm.Counters)
-	}
-	if got := sm.Counter("observations"); got != 2000 {
-		t.Errorf("observations = %d, want 2000", got)
-	}
-	if got := sm.Counter("runs"); got != 1001 {
-		t.Errorf("runs = %d, want 1001", got)
-	}
-	// First-touch order is preserved.
-	if sm.Counters[0].Name != "runs" || sm.Counters[1].Name != "observations" || sm.Counters[2].Name != "bytes" {
-		t.Errorf("counter order = %+v", sm.Counters)
 	}
 }
 

@@ -55,18 +55,18 @@ type Options struct {
 	Window int
 	// Synth tunes the underlying synthesizer.
 	Synth synth.Options
-	// NoReuse disables cross-window seeding, forcing every window
-	// to be synthesised from scratch (for the ablation benches).
-	NoReuse bool
-	// NoMemo disables whole-window memoisation (for the ablation
-	// benches).
-	NoMemo bool
 	// Context cancels a sequence between observations (checked every
 	// 256) and in-flight synthesis (signal handling). Nil means never
 	// cancelled. Cancellation surfaces as ctx.Err() from the
 	// Sequence/SequenceSource/FromWindow call; it never produces a
 	// partial predicate.
 	Context context.Context
+
+	// noReuse disables cross-window seeding, forcing every window to
+	// be synthesised from scratch, and noMemo disables whole-window
+	// memoisation: reference configurations for this package's tests.
+	noReuse bool
+	noMemo  bool
 }
 
 // Generator produces predicates for windows of one trace schema.
@@ -468,7 +468,7 @@ func (g *Generator) synthesizeNext(name string, examples []synth.Example) (expr.
 	g.stats.SynthCalls++
 	opts := g.opts.Synth
 	opts.DiffVars = []string{name}
-	if !g.opts.NoReuse {
+	if !g.opts.noReuse {
 		opts.Seeds = g.sortedSeeds(name)
 	}
 	ctx := g.opts.Context
@@ -502,7 +502,7 @@ func (g *Generator) noteResult(name string, f expr.Expr) {
 			return
 		}
 	}
-	if !g.opts.NoReuse {
+	if !g.opts.noReuse {
 		g.seeds[name] = append(g.seeds[name], f)
 	}
 }
@@ -542,7 +542,7 @@ func explicitRelation(schema *trace.Schema, win *trace.Trace, vi int) expr.Expr 
 }
 
 // memoWindow is a memoised window: its predicate and its dense window
-// index, or index -1 for a window resolved with NoMemo.
+// index, or index -1 for a window resolved with noMemo.
 type memoWindow struct {
 	p *Predicate
 	w int32

@@ -188,7 +188,7 @@ func TestMemoisation(t *testing.T) {
 		t.Errorf("windows = %d, want %d", g.Stats().Windows, tr.Len()+1-g.Window())
 	}
 	// Without memoisation, every window is rebuilt but results agree.
-	g2, _ := NewGenerator(tr.Schema(), Options{NoMemo: true})
+	g2, _ := NewGenerator(tr.Schema(), Options{noMemo: true})
 	ps2, err := g2.Sequence(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestMemoisation(t *testing.T) {
 		}
 	}
 	if g2.Stats().MemoHits != 0 {
-		t.Error("NoMemo still hit the memo")
+		t.Error("noMemo still hit the memo")
 	}
 }
 
@@ -217,7 +217,7 @@ func TestSeedReuseStabilisesAlphabet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gNo, _ := NewGenerator(tr.Schema(), Options{NoReuse: true})
+	gNo, _ := NewGenerator(tr.Schema(), Options{noReuse: true})
 	psNo, err := gNo.Sequence(tr)
 	if err != nil {
 		t.Fatal(err)

@@ -98,7 +98,7 @@ var errNoSchema = fmt.Errorf("predicate: trace schema does not match generator s
 // evicted, so a table hit is exactly the memo hit streamWindow would
 // count, and it costs one integer-keyed lookup instead of a window key,
 // a struct hash and g.mu. The table is private to the pass, so a hit
-// takes no lock; with NoMemo streamWindow returns no index and every
+// takes no lock; with noMemo streamWindow returns no index and every
 // window is rebuilt.
 type pass struct {
 	g    *Generator
@@ -222,7 +222,7 @@ func (g *Generator) nextIDFunc(src trace.Source) func() (trace.ObsID, error) {
 }
 
 // streamWindow resolves one window given its interned ids: a memo hit,
-// or materialise, build, intern and memoise. With NoMemo the returned
+// or materialise, build, intern and memoise. With noMemo the returned
 // window index is -1.
 func (g *Generator) streamWindow(ids []trace.ObsID) (memoWindow, error) {
 	key := trace.MakeWindowKey(ids)
@@ -230,7 +230,7 @@ func (g *Generator) streamWindow(ids []trace.ObsID) (memoWindow, error) {
 	defer g.mu.Unlock()
 	g.stats.Windows++
 	g.cWindows.Add(1)
-	if !g.opts.NoMemo {
+	if !g.opts.noMemo {
 		if m, ok := g.memo[key]; ok {
 			g.stats.MemoHits++
 			g.cMemoHits.Add(1)
@@ -243,7 +243,7 @@ func (g *Generator) streamWindow(ids []trace.ObsID) (memoWindow, error) {
 		return memoWindow{w: -1}, err
 	}
 	p := g.intern(e)
-	if g.opts.NoMemo {
+	if g.opts.noMemo {
 		return memoWindow{p: p, w: -1}, nil
 	}
 	return g.memoise(key, p), nil

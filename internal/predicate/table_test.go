@@ -107,7 +107,7 @@ func sources(t *testing.T, tr *trace.Trace) map[string]func() trace.Source {
 // runs as the table-free reference, run for run, and leaves the
 // generator in the same state (snapshot and stats) — on a fresh
 // generator, on the same generator's second pass (learn, then check),
-// with NoMemo, and on a generator restored from a snapshot.
+// with noMemo, and on a generator restored from a snapshot.
 func TestSequenceSourceMatchesReference(t *testing.T) {
 	for schema, trs := range tableTraces(t) {
 		open1, open2 := sources(t, trs[0]), sources(t, trs[1])
@@ -161,7 +161,7 @@ func TestSequenceSourceMatchesReference(t *testing.T) {
 				same("restored, second trace", ra, rb, open2[kind])
 				same("restored, first trace", ra, rb, open1[kind])
 
-				na, nb := pair(Options{NoMemo: true})
+				na, nb := pair(Options{noMemo: true})
 				same("nomemo", na, nb, open1[kind])
 				if st := na.Stats(); st.MemoHits != 0 || st.UniqueWindows != st.Windows {
 					t.Fatalf("nomemo: stats %+v, want every window rebuilt", st)
@@ -186,7 +186,7 @@ func TestSequenceSourceCountersAtEmit(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		reg := pipeline.NewRegistry()
-		g, err := NewGenerator(tr.Schema(), Options{NoMemo: noMemo, Context: ctx})
+		g, err := NewGenerator(tr.Schema(), Options{noMemo: noMemo, Context: ctx})
 		if err != nil {
 			t.Fatal(err)
 		}

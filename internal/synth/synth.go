@@ -72,12 +72,6 @@ type Options struct {
 	// Disabled by default: none of the paper's benchmarks need it
 	// and it widens the search considerably.
 	EnableMul bool
-	// ExtraArithConsts are added to the mined arithmetic constant
-	// pool (always includes 0 and 1 plus mined differences).
-	ExtraArithConsts []int64
-	// ExtraCmpConsts are added to the mined comparison constant
-	// pool (always includes the example input/output values).
-	ExtraCmpConsts []int64
 	// DiffVars restricts difference mining (output − input, the
 	// increments additive update functions need) to the named input
 	// variables. Empty means all integer inputs. The predicate
@@ -278,12 +272,6 @@ func minePools(vars []Var, examples []Example, opts Options) pools {
 				arithSet[ex.Out.I-v.I] = true
 			}
 		}
-	}
-	for _, c := range opts.ExtraArithConsts {
-		arithSet[c] = true
-	}
-	for _, c := range opts.ExtraCmpConsts {
-		cmpSet[c] = true
 	}
 	var p pools
 	for c := range arithSet {

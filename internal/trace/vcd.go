@@ -204,6 +204,14 @@ func (p *vcdParser) selectSignals(names []string) error {
 			}
 			byLast[last] = i
 		}
+		// A schema names each signal by its sanitized name, so that
+		// form selects the signal too: a model's schema names select
+		// the signals it was learned from.
+		for i, s := range p.signals {
+			if _, ok := byFull[sanitizeVCDName(s.Name)]; !ok {
+				byFull[sanitizeVCDName(s.Name)] = i
+			}
+		}
 		for _, name := range names {
 			if i, ok := byFull[name]; ok {
 				p.watch = append(p.watch, i)

@@ -135,12 +135,14 @@ func TestSampledTraceBoundedAtScale(t *testing.T) {
 	fullPath := filepath.Join(dir, "full.trace")
 	sampledPath := filepath.Join(dir, "sampled.trace")
 
-	mFull := learnTracedStream(t, data, fullPath, nil)
-	mSampled := learnTracedStream(t, data, sampledPath, repro.DefaultSamplePolicy())
+	// Keep only the first model's text: its generator holds about
+	// 0.5 GB at 1M steps, which must not stay live through the second
+	// learn.
+	full := learnTracedStream(t, data, fullPath, nil).Automaton.String()
+	sampled := learnTracedStream(t, data, sampledPath, repro.DefaultSamplePolicy()).Automaton.String()
 
-	if mFull.Automaton.String() != mSampled.Automaton.String() {
-		t.Errorf("sampling changed the model:\nfull:\n%s\nsampled:\n%s",
-			mFull.Automaton.String(), mSampled.Automaton.String())
+	if full != sampled {
+		t.Errorf("sampling changed the model:\nfull:\n%s\nsampled:\n%s", full, sampled)
 	}
 
 	fullSize, fullStarts, fullEpi := scanTrace(t, fullPath)

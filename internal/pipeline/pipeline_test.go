@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// TestStageRecordsRowAndSpan: End returns the stage-table row (name,
-// wall and CPU time, counters in order) and closes the stage's trace
-// span with the same counters as its end attributes.
-func TestStageRecordsRowAndSpan(t *testing.T) {
+// TestSpanRecordsStage: End returns the stage-table row (name, wall and
+// CPU time, counters) and closes the stage's trace span with the same
+// counters as its end attributes.
+func TestSpanRecordsStage(t *testing.T) {
 	var out bytes.Buffer
 	tr := NewTracer(&out)
 	run := tr.Start(0, "run")
@@ -44,11 +44,6 @@ func TestStageRecordsRowAndSpan(t *testing.T) {
 	if got := sm.Counter("missing"); got != 0 {
 		t.Errorf("missing counter = %d, want 0", got)
 	}
-	s := Format([]StageMetrics{sm})
-	if !strings.Contains(s, "predicate") || !strings.Contains(s, "windows=10") ||
-		strings.Index(s, "windows=10") > strings.Index(s, "memo_hits=7") {
-		t.Errorf("Format output missing fields or out of insertion order:\n%s", s)
-	}
 
 	var end string
 	for _, line := range strings.Split(out.String(), "\n") {
@@ -63,6 +58,19 @@ func TestStageRecordsRowAndSpan(t *testing.T) {
 	// Without a tracer the stage still measures and returns its row.
 	if sm := StartStage(nil, 0, "model").End(Counter{Name: "states", Value: 3}); sm.Name != "model" || sm.Counter("states") != 3 {
 		t.Errorf("untraced stage row = %+v", sm)
+	}
+}
+
+// TestFormatListsCountersInOrder: Format prints a stage row's counters in
+// the order End was given them.
+func TestFormatListsCountersInOrder(t *testing.T) {
+	sm := StartStage(nil, 0, "model").End(Counter{Name: "states", Value: 3}, Counter{Name: "transitions", Value: 5})
+	s := Format([]StageMetrics{sm})
+	if !strings.Contains(s, "model") || !strings.Contains(s, "states=3") || !strings.Contains(s, "transitions=5") {
+		t.Errorf("Format output missing fields:\n%s", s)
+	}
+	if strings.Index(s, "states=3") > strings.Index(s, "transitions=5") {
+		t.Errorf("counters out of insertion order:\n%s", s)
 	}
 }
 
